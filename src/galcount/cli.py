@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import constructions, fields, fitting, tables
+from . import constructions, fields, fitting, sieves, tables
 from .constructions import InconsistentDualRep, check_index_domination, dual_regular_pair
 from .fields import CensusFormatError
 from .fitting import InsufficientSamplesError
@@ -29,6 +29,8 @@ EXIT_INTRANSITIVE = 4
 EXIT_CENSUS = 5
 EXIT_SAMPLES = 6
 EXIT_INCONSISTENT = 7
+
+FAMILIES = ["quadratic", "cyclic", "biquadratic", "census"]
 
 
 class _Intransitive(Exception):
@@ -63,7 +65,7 @@ def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGr
 def _cmd_aval(args) -> int:
     group = _resolve_group(args.expr, args.file, args.cap)
     if not group.is_transitive():
-        raise _Intransitive
+        raise _Intransitive("group is not transitive")
     a = group.a_invariant()
     print(f"degree: {group.degree}")
     print(f"order: {group.order()}")
@@ -110,6 +112,8 @@ def _family_samples(args) -> list[tuple[int, int]]:
         if args.ell is None:
             raise GroupSpecError("cyclic counts need --ell")
         ell = args.ell
+        if ell % 2 == 0 or not sieves.is_prime(ell):
+            raise GroupSpecError(f"--ell must be an odd prime, got {ell}")
         if args.grid:
             grid = _parse_grid(args.grid)
         else:
@@ -141,8 +145,6 @@ def _family_samples(args) -> list[tuple[int, int]]:
 
 
 def _cmd_count(args) -> int:
-    if args.family == "cyclic" and args.ell is not None and not fields._is_odd_prime(args.ell):
-        raise GroupSpecError(f"--ell must be an odd prime, got {args.ell}")
     samples = _family_samples(args)
     print("x,count")
     for x, z in samples:
@@ -153,17 +155,18 @@ def _cmd_count(args) -> int:
 def _read_samples(path: str) -> list[tuple[int, int]]:
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     except OSError as exc:
         raise InsufficientSamplesError(f"cannot read samples: {exc}") from None
-    if lines and lines[0] == "x,count":
+    if lines and lines[0][1] == "x,count":
         lines = lines[1:]
     samples = []
-    for line in lines:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InsufficientSamplesError(f"bad sample line {line!r}")
-        samples.append((int(parts[0]), int(parts[1])))
+    for number, line in lines:
+        try:
+            x, count = (int(part) for part in line.split(","))
+        except ValueError:
+            raise InsufficientSamplesError(f"line {number}: bad sample line {line!r}") from None
+        samples.append((x, count))
     if not samples:
         raise InsufficientSamplesError("no samples in file")
     return samples
@@ -173,8 +176,6 @@ def _cmd_fit(args) -> int:
     if args.samples:
         samples = _read_samples(args.samples)
     elif args.family:
-        if args.family == "cyclic" and args.ell is not None and not fields._is_odd_prime(args.ell):
-            raise GroupSpecError(f"--ell must be an odd prime, got {args.ell}")
         samples = _family_samples(args)
     else:
         raise GroupSpecError("fit needs --samples or --family")
@@ -250,21 +251,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--csv", help="also write machine-readable rows to this path")
     p_table.set_defaults(fn=_cmd_table)
 
-    p_count = sub.add_parser("count", help="stream (x, Z(x)) samples for a field family")
-    p_count.add_argument("family", choices=["quadratic", "cyclic", "biquadratic", "census"])
-    p_count.add_argument("--ell", type=int, help="odd prime degree for cyclic counts")
-    p_count.add_argument("--grid", help="geometric grid lo:hi:points")
-    p_count.add_argument("--label", help="census group label")
-    p_count.add_argument("--file", help="census file path")
+    family_options = argparse.ArgumentParser(add_help=False)
+    family_options.add_argument("--ell", type=int, help="odd prime degree for cyclic counts")
+    family_options.add_argument("--grid", help="geometric grid lo:hi:points")
+    family_options.add_argument("--label", help="census group label")
+    family_options.add_argument("--file", help="census file path")
+
+    p_count = sub.add_parser(
+        "count", parents=[family_options], help="stream (x, Z(x)) samples for a field family"
+    )
+    p_count.add_argument("family", choices=FAMILIES)
     p_count.set_defaults(fn=_cmd_count)
 
-    p_fit = sub.add_parser("fit", help="fit c*x^a*(log x)^b to samples")
+    p_fit = sub.add_parser("fit", parents=[family_options], help="fit c*x^a*(log x)^b to samples")
     p_fit.add_argument("--samples", help="file of x,count rows")
-    p_fit.add_argument("--family", choices=["quadratic", "cyclic", "biquadratic", "census"])
-    p_fit.add_argument("--ell", type=int)
-    p_fit.add_argument("--grid")
-    p_fit.add_argument("--label")
-    p_fit.add_argument("--file")
+    p_fit.add_argument("--family", choices=FAMILIES)
     p_fit.add_argument("--log-power", dest="log_power", help="'fit' or a number (default 0; biquadratic: fit)")
     p_fit.add_argument("--predict", help="group expression to compare the fitted exponent against")
     p_fit.add_argument("--tolerance", type=float)
@@ -277,35 +278,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# First match wins, so the ValueError subclasses precede ValueError.
+_EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (_Intransitive, EXIT_INTRANSITIVE),
+    (GroupSpecError, EXIT_BAD_INPUT),
+    (CycleParseError, EXIT_BAD_INPUT),
+    (EnumerationCapError, EXIT_CAP),
+    (CensusFormatError, EXIT_CENSUS),
+    (InsufficientSamplesError, EXIT_SAMPLES),
+    (InconsistentDualRep, EXIT_INCONSISTENT),
+    (OSError, EXIT_BAD_INPUT),
+    (ValueError, EXIT_BAD_INPUT),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _Intransitive:
-        print("error: group is not transitive", file=sys.stderr)
-        return EXIT_INTRANSITIVE
-    except (GroupSpecError, CycleParseError) as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except CensusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CENSUS
-    except InsufficientSamplesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLES
-    except InconsistentDualRep as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CENSUS if getattr(args, "command", "") in ("count", "fit") else EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        if isinstance(exc, OSError) and args.command in ("count", "fit"):
+            return EXIT_CENSUS  # count and fit read census files
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def run() -> None:

@@ -4,13 +4,13 @@ and the index-domination check between two representations of one group."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from .perms import Perm
+from .sieves import is_prime
 
 
 class InconsistentDualRep(ValueError):
@@ -156,28 +156,13 @@ def wreath(a: PermGroup, h: PermGroup, cap: Optional[int] = None) -> PermGroup:
     return result
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def sl2_natural(p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """SL2 over the p-element field acting on the p^2 - 1 nonzero column vectors.
 
     Generated by the two standard unipotent matrices; vectors are ordered
     lexicographically so the output is reproducible.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     vectors = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
     position = {v: i for i, v in enumerate(vectors)}
@@ -267,51 +252,42 @@ def dual_regular_pair(group: PermGroup, cap: Optional[int] = None) -> DualRep:
 def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationReport:
     """Check a2 * ind2(s) >= a1 * ind1(s) for every element s, in exact rationals.
 
-    A parallel BFS enumerates each abstract element once as a pair of images;
-    the pairing must be a bijection between the two element sets (otherwise the
-    generator lists do not present one group and InconsistentDualRep is raised).
-    On failure the first violating element in BFS order is reported as a word
-    in the generators.
+    Each side is enumerated by ``PermGroup`` and elements are paired by BFS
+    position.  The pairing must commute with every aligned generator pair
+    (otherwise the generator lists do not present one group and
+    InconsistentDualRep is raised).  On failure the first violating element in
+    BFS order is reported as its BFS-tree word in the generators.
     """
-    id1 = Perm.identity(dual.gens1[0].degree)
-    id2 = Perm.identity(dual.gens2[0].degree)
-    start = (id1, id2)
-    words: dict[tuple[Perm, Perm], tuple[int, ...]] = {start: ()}
-    order: list[tuple[Perm, Perm]] = [start]
-    forward: dict[Perm, Perm] = {id1: id2}
-    backward: dict[Perm, Perm] = {id2: id1}
-    queue = deque([start])
-    while queue:
-        p1, p2 = queue.popleft()
-        base_word = words[(p1, p2)]
-        for j, (g1, g2) in enumerate(zip(dual.gens1, dual.gens2)):
-            q = (p1 * g1, p2 * g2)
-            if q in words:
-                continue
-            q1, q2 = q
-            if forward.get(q1, q2) != q2 or backward.get(q2, q1) != q1:
-                raise InconsistentDualRep(
-                    "a word acts as the identity in one representation but not the other"
-                )
-            forward[q1] = q2
-            backward[q2] = q1
-            words[q] = base_word + (j,)
-            order.append(q)
-            if len(order) > cap:
-                raise EnumerationCapError(f"group order exceeds cap {cap}")
-            queue.append(q)
-
-    def a_value(perms) -> Fraction:
-        min_ind = min((p.ind() for p in perms if not p.is_identity), default=0)
-        return Fraction(0) if min_ind == 0 else Fraction(1, min_ind)
-
-    a1 = a_value(p for p, _ in order)
-    a2 = a_value(p for _, p in order)
-    for p1, p2 in order:
+    sides = [PermGroup(gens[0].degree, gens, cap) for gens in (dual.gens1, dual.gens2)]
+    elems1, elems2 = (side.elements() for side in sides)
+    pos1, pos2 = ({e: i for i, e in enumerate(elems)} for elems in (elems1, elems2))
+    if len(elems1) != len(elems2) or any(
+        pos1[e1 * g1] != pos2[e2 * g2]
+        for e1, e2 in zip(elems1, elems2)
+        for g1, g2 in zip(dual.gens1, dual.gens2)
+    ):
+        raise InconsistentDualRep(
+            "a word acts as the identity in one representation but not the other"
+        )
+    a1, a2 = (side.a_invariant() for side in sides)
+    for k, (p1, p2) in enumerate(zip(elems1, elems2)):
         i1, i2 = p1.ind(), p2.ind()
         if a2 * i2 < a1 * i1:
-            return DominationReport(
-                holds=False,
-                witness=DominationWitness(words[(p1, p2)], i1, i2, a1, a2),
-            )
+            word = _bfs_word(sides[0], pos1, k)
+            return DominationReport(holds=False, witness=DominationWitness(word, i1, i2, a1, a2))
     return DominationReport(holds=True, witness=None)
+
+
+def _bfs_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:
+    """Generator indices leading to the k-th element along the BFS tree.
+
+    An element's parent is the in-neighbour e * g_j^-1 with the smallest
+    (position, j): the element whose j-th successor first reached it.
+    """
+    inverses = [g.inverse() for g in group.generators]
+    elements = group.elements()
+    word = []
+    while k:
+        k, j = min((position[elements[k] * inv], j) for j, inv in enumerate(inverses))
+        word.append(j)
+    return tuple(reversed(word))

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .sieves import introot, squarefree_sieve
+from .sieves import introot, is_prime, primes_up_to, squarefree_sieve
 
 
 class CensusFormatError(ValueError):
@@ -21,37 +21,23 @@ class CensusFormatError(ValueError):
 # quadratic fields
 
 
+def _discriminant(s: int) -> int:
+    """Discriminant of Q(sqrt(s)) for squarefree s != 1."""
+    return s if s % 4 == 1 else 4 * s
+
+
 def fundamental_discriminants(x: int) -> list[int]:
     """All fundamental discriminants d != 1 with |d| <= x, sorted by (|d|, sign).
 
-    d is fundamental iff d = 1 (mod 4) and squarefree, or d = 4m with m
-    squarefree and m = 2 or 3 (mod 4).
+    These are the discriminants of Q(sqrt(s)) for the squarefree s = +-m != 1.
     """
     if x < 1:
         return []
     flags = squarefree_sieve(x).flags
-    out = []
-    for n in range(2, x + 1):
-        if not flags[n]:
-            continue
-        if n % 4 == 1:
-            out.append(n)
-        elif n % 4 == 3:
-            out.append(-n)
-    limit4 = x // 4
-    if limit4 >= 1:
-        for n in range(1, limit4 + 1):
-            if not flags[n]:
-                continue
-            if n % 4 == 1:
-                out.append(-4 * n)
-            elif n % 4 == 2:
-                out.append(-4 * n)
-                out.append(4 * n)
-            else:
-                out.append(4 * n)
-    out.sort(key=lambda d: (abs(d), d))
-    return out
+    discs = (
+        _discriminant(s) for m in np.flatnonzero(flags).tolist() for s in (m, -m) if s != 1
+    )
+    return sorted((d for d in discs if abs(d) <= x), key=lambda d: (abs(d), d))
 
 
 def quadratic_multiplicities(xmax: int) -> np.ndarray:
@@ -108,39 +94,17 @@ class ConductorEntry:
     disc: int
 
 
-def _is_odd_prime(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return [int(p) for p in np.nonzero(flags)[0]]
-
-
 def cyclic_conductors(ell: int, fmax: int) -> list[ConductorEntry]:
     """All admissible conductors f <= fmax for cyclic degree-ell fields, sorted by f.
 
     Admissible f: a product of distinct primes = 1 (mod ell), optionally times
     ell^2, with at least one factor.
     """
-    if not _is_odd_prime(ell):
+    if ell % 2 == 0 or not is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
     if fmax < 1:
         return []
-    split_primes = [p for p in _primes_up_to(fmax) if p % ell == 1]
+    split_primes = [p for p in primes_up_to(fmax) if p % ell == 1]
     wild = ell * ell
     entries: list[ConductorEntry] = []
 
@@ -165,10 +129,7 @@ def cyclic_conductors(ell: int, fmax: int) -> list[ConductorEntry]:
 
 def count_cyclic_ell(ell: int, x: int) -> int:
     """Number of cyclic degree-ell fields with disc = f**(ell-1) <= x."""
-    if x < 1:
-        return 0
-    fmax = introot(x, ell - 1)
-    return sum(e.multiplicity for e in cyclic_conductors(ell, fmax))
+    return cyclic_tally(ell, x).total()
 
 
 def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
@@ -196,8 +157,7 @@ def compose_discriminants(d1: int, d2: int) -> int:
     """
     s1, s2 = _kernel(d1), _kernel(d2)
     g = math.gcd(s1, s2)
-    s3 = (s1 // g) * (s2 // g)
-    return s3 if s3 % 4 == 1 else 4 * s3
+    return _discriminant((s1 // g) * (s2 // g))
 
 
 def biquadratic_discs(xmax: int) -> list[int]:

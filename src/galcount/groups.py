@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .perms import Perm
 
@@ -121,11 +121,3 @@ class PermGroup:
             return Fraction(0)
         _, min_ind = self.min_index_witness()
         return Fraction(1, min_ind)
-
-
-def group_from_cycles(degree: int, cycle_exprs: Iterable[str], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Build a group from 1-based cycle expressions, one per generator."""
-    from .perms import parse_cycles
-
-    gens = [parse_cycles(expr, degree) for expr in cycle_exprs]
-    return PermGroup(degree, gens, cap)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class CycleParseError(ValueError):
@@ -166,11 +166,3 @@ def parse_cycle_list(text: str, degree: int) -> list[Perm]:
     if not parts:
         raise CycleParseError("empty generator list")
     return [parse_cycles(p, degree) for p in parts]
-
-
-def all_perms(degree: int) -> Iterator[Perm]:
-    """All permutations of the given degree, in lexicographic image order."""
-    import itertools
-
-    for images in itertools.permutations(range(degree)):
-        yield Perm(images)

@@ -1,4 +1,4 @@
-"""Integer sieves: squarefree flags, k-powerful counting, divisor tables, and a
+"""Integer sieves: primes, squarefree flags, k-powerful counting, divisor tables, and a
 Dirichlet partial-sum probe."""
 
 from __future__ import annotations
@@ -20,6 +20,23 @@ class SieveTable:
 
     def count(self) -> int:
         return int(self.flags[1:].sum())
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes p <= limit, ascending, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return [int(p) for p in np.nonzero(flags)[0]]
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by the primes up to sqrt(n); time and memory grow as sqrt(n)."""
+    return n >= 2 and all(n % p for p in primes_up_to(math.isqrt(n)))
 
 
 def squarefree_sieve(limit: int) -> SieveTable:

@@ -175,6 +175,14 @@ def test_fit_empty_file_exit_6(tmp_path, capsys):
     assert code == 6 and err
 
 
+def test_fit_malformed_row_exit_6(tmp_path, capsys):
+    for row in ("30,7.5", "30,7,1", "30"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,count\n\n10,3\n20,5\n{row}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "fit", "--samples", str(path))
+        assert code == 6 and "line 5:" in err
+
+
 def test_compare_reps_example_fails(capsys):
     code, out, _ = run_cli(capsys, "compare-reps", "--example", "7.4")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,46 @@ def test_domination_fails_for_example_pair():
     assert w.a2 * w.ind2 < w.a1 * w.ind1
 
 
+def _word_product(gens, word):
+    result = Perm.identity(gens[0].degree)
+    for j in word:
+        result = result * gens[j]
+    return result
+
+
+def test_domination_witness_for_swapped_pairs():
+    # natural action first, regular second; the witness is a violating word of
+    # minimal length, and its indices are those of the word in each representation
+    coxeter_s4 = PermGroup(4, [parse_cycles(c, 4) for c in ("(1 2)", "(2 3)", "(3 4)")])
+    cases = [
+        (symmetric_natural(4), (1,)),
+        (coxeter_s4, (0, 1)),
+        (wreath(cyclic_natural(2), symmetric_natural(4)), (1,)),
+    ]
+    for group, expected_word in cases:
+        regular = regular_rep(group)
+        dual = DualRep(tuple(group.generators), tuple(regular.generators))
+        report = check_index_domination(dual)
+        assert not report.holds
+        w = report.witness
+        assert w.word == expected_word
+        assert (w.a1, w.a2) == (group.a_invariant(), regular.a_invariant())
+        assert _word_product(dual.gens1, w.word).ind() == w.ind1
+        assert _word_product(dual.gens2, w.word).ind() == w.ind2
+        assert w.a2 * w.ind2 < w.a1 * w.ind1
+        for length in range(len(w.word)):
+            for word in itertools.product(range(len(dual.gens1)), repeat=length):
+                ind1 = _word_product(dual.gens1, word).ind()
+                ind2 = _word_product(dual.gens2, word).ind()
+                assert w.a2 * ind2 >= w.a1 * ind1
+
+
+def test_domination_cap_refused():
+    prod = direct_product(heisenberg_mod3(), cyclic_natural(2))
+    with pytest.raises(EnumerationCapError):
+        check_index_domination(dual_regular_pair(prod), cap=10)
+
+
 def test_ell_power_index_inequality():
     # ind(s) >= ell(m-1) / (m(ell-1) a(G)) for each element of an ell-group action
     actions = [
@@ -322,9 +363,13 @@ def test_inconsistent_pair_detected():
     # the identity on one side only
     c2 = cyclic_natural(2)
     c4 = cyclic_natural(4)
-    dual = DualRep(tuple(c2.generators), tuple(c4.generators))
-    with pytest.raises(InconsistentDualRep):
-        check_index_domination(dual)
+    # one group, but S3 as (transposition, 3-cycle) against its regular action
+    # built from (3-cycle, transposition)
+    s3 = symmetric_natural(3)
+    reordered = regular_rep(PermGroup(3, s3.generators[::-1]))
+    for gens1, gens2 in ((c2.generators, c4.generators), (s3.generators, reordered.generators)):
+        with pytest.raises(InconsistentDualRep):
+            check_index_domination(DualRep(tuple(gens1), tuple(gens2)))
 
 
 def test_mismatched_generator_counts_rejected():

@@ -7,9 +7,11 @@ from galcount.sieves import (
     divisor_bound_check,
     divisor_counts,
     introot,
+    is_prime,
     powerful_count,
     powerful_numbers,
     powerful_sieve,
+    primes_up_to,
     squarefree_sieve,
 )
 
@@ -29,6 +31,15 @@ def test_squarefree_against_factorization():
     spf = spf_table(limit)
     for n in range(1, limit + 1):
         assert bool(table.flags[n]) == is_squarefree_slow(n, spf)
+
+
+def test_primes_against_smallest_prime_factor():
+    limit = 10_000
+    spf = spf_table(limit)
+    primes = [n for n in range(2, limit + 1) if spf[n] == n]
+    assert primes_up_to(limit) == primes
+    assert [n for n in range(-3, limit + 1) if is_prime(n)] == primes
+    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
 
 
 def test_introot():
