@@ -85,23 +85,16 @@ def coset_action(
         subgroup_gens = [group.identity()]
     subgroup = PermGroup(group.degree, subgroup_gens, cap).elements()
 
-    def coset_key(x: Perm) -> frozenset[Perm]:
-        return frozenset(x * h for h in subgroup)
-
-    labels: dict[frozenset[Perm], int] = {}
+    label: dict[Perm, int] = {}
     reps: list[Perm] = []
     for x in elements:
-        key = coset_key(x)
-        if key not in labels:
-            labels[key] = len(reps)
+        if x not in label:
+            for h in subgroup:
+                label[x * h] = len(reps)
             reps.append(x)
-    index = len(reps)
 
-    new_gens = []
-    for g in group.generators:
-        images = [labels[coset_key(g * rep)] for rep in reps]
-        new_gens.append(Perm(images))
-    action = PermGroup(index, new_gens, cap)
+    new_gens = [Perm(label[g * rep] for rep in reps) for g in group.generators]
+    action = PermGroup(len(reps), new_gens, cap)
     faithful = action.order() == len(elements)
     return action, faithful
 

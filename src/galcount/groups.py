@@ -82,9 +82,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements())
 
-    def __contains__(self, perm: Perm) -> bool:
-        return perm in set(self.elements())
-
     def is_transitive(self) -> bool:
         """True iff the generators move point 0 to every point (orbit BFS, no full enumeration)."""
         reached = [False] * self.degree

@@ -1,5 +1,5 @@
-"""Integer sieves: primes, squarefree flags, k-powerful counting, divisor tables, and a
-Dirichlet partial-sum probe."""
+"""Integer sieves: primes, the Möbius function, squarefree flags, k-powerful counting,
+divisor tables, and a Dirichlet partial-sum probe."""
 
 from __future__ import annotations
 
@@ -37,6 +37,18 @@ def primes_up_to(limit: int) -> list[int]:
 def is_prime(n: int) -> bool:
     """Trial division by the primes up to sqrt(n); time and memory grow as sqrt(n)."""
     return n >= 2 and all(n % p for p in primes_up_to(math.isqrt(n)))
+
+
+def mobius(limit: int) -> list[int]:
+    """mu[n] for n = 0..limit as Python ints (mu[0] = 0), sieved over the primes."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu.tolist()
 
 
 def squarefree_sieve(limit: int) -> SieveTable:

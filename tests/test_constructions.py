@@ -120,6 +120,29 @@ def test_coset_action_rejects_foreign_generator():
         coset_action(a4, [parse_cycles("(1 2)", 4)])
 
 
+def test_coset_action_maps_each_coset_to_its_translate():
+    # S4 on <(1 2 3)>, S4 on a non-normal Klein four-group, S3 on A3 (unfaithful)
+    cases = [
+        (symmetric_natural(4), ["(1 2 3)"]),
+        (symmetric_natural(4), ["(1 2)", "(3 4)"]),
+        (symmetric_natural(3), ["(1 2 3)"]),
+    ]
+    for group, cycles in cases:
+        subgroup_gens = [parse_cycles(c, group.degree) for c in cycles]
+        subgroup = PermGroup(group.degree, subgroup_gens).elements()
+        reps: list[Perm] = []
+        covered: set[Perm] = set()
+        for x in group.elements():
+            if x not in covered:
+                reps.append(x)
+                covered.update(x * h for h in subgroup)
+        action, _ = coset_action(group, subgroup_gens)
+        assert action.degree == len(reps)
+        for g, image in zip(group.generators, action.generators):
+            for i, rep in enumerate(reps):
+                assert g * rep in {reps[image(i)] * h for h in subgroup}
+
+
 def test_coset_action_unfaithful():
     # S3 acting on the cosets of A3: degree 2, kernel A3
     s3 = symmetric_natural(3)

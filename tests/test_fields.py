@@ -1,3 +1,4 @@
+import bisect
 import io
 
 import pytest
@@ -40,6 +41,18 @@ def test_count_quadratic():
     assert count_quadratic(10) == 6
     assert count_quadratic(1) == 0
     assert count_quadratic(10_000) == len(fundamental_discriminants(10_000))
+    abs_discs = [abs(d) for d in fundamental_discriminants(3000)]
+    for x in range(1, 3001):
+        assert count_quadratic(x) == bisect.bisect_right(abs_discs, x)
+    # values of the earlier O(x) sieve, and one far beyond its reach: a sum
+    # done in int8 or float arithmetic would not land on this integer
+    assert count_quadratic(10**7) == 6_079_285
+    assert count_quadratic(3 * 10**7) == 18_237_811
+    assert count_quadratic(10**12) == 607_927_101_751
+
+
+def test_quadratic_samples_nonpositive_grid_points():
+    assert quadratic_samples([-5, 0, 10]) == [(-5, 0), (0, 0), (10, 6)]
 
 
 def test_quadratic_samples_monotone():

@@ -8,6 +8,7 @@ from galcount.sieves import (
     divisor_counts,
     introot,
     is_prime,
+    mobius,
     powerful_count,
     powerful_numbers,
     powerful_sieve,
@@ -15,7 +16,7 @@ from galcount.sieves import (
     squarefree_sieve,
 )
 
-from oracles import divisor_count_slow, is_squarefree_slow, min_exponent, spf_table
+from oracles import _mobius, divisor_count_slow, is_squarefree_slow, min_exponent, spf_table
 
 
 def test_squarefree_small():
@@ -40,6 +41,13 @@ def test_primes_against_smallest_prime_factor():
     assert primes_up_to(limit) == primes
     assert [n for n in range(-3, limit + 1) if is_prime(n)] == primes
     assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+
+
+def test_mobius_against_factorization():
+    limit = 10_000
+    spf = spf_table(limit)
+    assert mobius(limit) == [0] + [_mobius(n, spf) for n in range(1, limit + 1)]
+    assert mobius(0) == [0] and mobius(1) == [0, 1]
 
 
 def test_introot():
