@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from .perms import Perm
 from .sieves import is_prime
@@ -263,12 +265,14 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
             "a word acts as the identity in one representation but not the other"
         )
     a1, a2 = (side.a_invariant() for side in sides)
-    for k, (p1, p2) in enumerate(zip(elems1, elems2)):
-        i1, i2 = p1.ind(), p2.ind()
-        if a2 * i2 < a1 * i1:
-            word = _bfs_word(sides[0], pos1, k)
-            return DominationReport(holds=False, witness=DominationWitness(word, i1, i2, a1, a2))
-    return DominationReport(holds=True, witness=None)
+    ind1, ind2 = (side.inds().astype(np.int64) for side in sides)
+    # a2 * ind2 < a1 * ind1, cross-multiplied over the positive denominators
+    failing = np.flatnonzero(a2.numerator * a1.denominator * ind2 < a1.numerator * a2.denominator * ind1)
+    if failing.size == 0:
+        return DominationReport(holds=True, witness=None)
+    k = int(failing[0])
+    word = _bfs_word(sides[0], pos1, k)
+    return DominationReport(holds=False, witness=DominationWitness(word, int(ind1[k]), int(ind2[k]), a1, a2))
 
 
 def _bfs_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:

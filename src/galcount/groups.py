@@ -1,18 +1,30 @@
-"""Finitely generated permutation groups with cached breadth-first element enumeration."""
+"""Finitely generated permutation groups, enumerated breadth-first into one cached image array."""
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .perms import Perm
 
 DEFAULT_CAP = 10**6
+_IND_CHUNK = 1 << 16  # array entries per block of the vectorised ind
 
 
 class EnumerationCapError(RuntimeError):
     """Group closure exceeded the element cap; the group is too large for exhaustive methods."""
+
+
+def _image_dtype(degree: int) -> type:
+    """Smallest unsigned integer type holding the points 0..degree-1."""
+    if degree <= 1 << 8:
+        return np.uint8
+    if degree <= 1 << 16:
+        return np.uint16
+    return np.uint32
 
 
 class PermGroup:
@@ -20,8 +32,10 @@ class PermGroup:
 
     Elements are enumerated breadth-first by word length in the generators
     (within a level, by parent order then generator index), starting from the
-    identity.  The enumeration is cached; the cache fill is guarded by a lock
-    so concurrent readers see a single fill.
+    identity.  The enumeration is cached as one read-only (order, degree)
+    image array; row k holds the images of the k-th element, so memory is
+    about order * degree bytes for degree <= 256.  Cache fills are guarded by
+    a lock so concurrent readers see a single fill.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], cap: int = DEFAULT_CAP):
@@ -40,47 +54,87 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self.cap = cap
+        self._images: Optional[np.ndarray] = None
+        self._inds: Optional[np.ndarray] = None
         self._elements: Optional[tuple[Perm, ...]] = None
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"PermGroup(degree={self.degree}, generators=[{gens}])"
 
+    def _cached(self, name: str, build: Callable[[], object]):
+        if getattr(self, name) is None:
+            with self._lock:
+                if getattr(self, name) is None:
+                    setattr(self, name, build())
+        return getattr(self, name)
+
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
+    def _image_array(self) -> np.ndarray:
+        """Read-only (order, degree) array of element images in breadth-first order (cached)."""
+        return self._cached("_images", self._enumerate)
+
     def elements(self) -> tuple[Perm, ...]:
         """Full element list in deterministic breadth-first order (cached)."""
-        if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    self._elements = self._enumerate()
-        return self._elements
+        return self._cached("_elements", lambda: tuple(Perm(row) for row in self._image_array().tolist()))
 
-    def _enumerate(self) -> tuple[Perm, ...]:
-        identity = self.identity()
-        seen = {identity}
-        out = [identity]
-        frontier = [identity]
-        while frontier:
-            level = []
-            for elem in frontier:
-                for gen in self.generators:
-                    new = elem * gen
-                    if new not in seen:
-                        seen.add(new)
-                        level.append(new)
-                        if len(seen) > self.cap:
-                            raise EnumerationCapError(
-                                f"group order exceeds cap {self.cap}"
-                            )
-            out.extend(level)
-            frontier = level
-        return tuple(out)
+    def _enumerate(self) -> np.ndarray:
+        n = self.degree
+        dtype = _image_dtype(n)
+        gens = np.array([g.images for g in self.generators], dtype=dtype)
+        identity = np.arange(n, dtype=dtype)
+        key_type = f"V{identity.nbytes}"
+        seen = {identity.tobytes()}
+        levels = [identity[None, :]]
+        frontier = levels[0]
+        while len(frontier):
+            # (e * g)(i) = e(g(i)); row f * len(gens) + j is frontier[f] * gens[j]
+            products = frontier[:, gens].reshape(-1, n)
+            fresh = []
+            for i, key in enumerate(products.view(key_type).ravel().tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+                    if len(seen) > self.cap:
+                        raise EnumerationCapError(f"group order exceeds cap {self.cap}")
+            frontier = products[fresh]
+            levels.append(frontier)
+        images = np.concatenate(levels)
+        images.flags.writeable = False
+        return images
 
     def order(self) -> int:
-        return len(self.elements())
+        return len(self._image_array())
+
+    def inds(self) -> np.ndarray:
+        """Read-only array of ind = degree - (number of cycles) for every element, in
+        enumeration order (cached)."""
+        return self._cached("_inds", self._compute_inds)
+
+    def _compute_inds(self) -> np.ndarray:
+        images = self._image_array()
+        rows, n = images.shape
+        identity = np.arange(n, dtype=images.dtype)
+        out = np.empty(rows, dtype=images.dtype)
+        step = max(1, _IND_CHUNK // n)
+        for start in range(0, rows, step):
+            block = images[start : start + step]
+            # Pointer doubling on flat indices: after r rounds low[i] is the least
+            # of the first 2^r points of i's cycle, so once 2^r >= n it is the
+            # cycle minimum, and each cycle has exactly one point equal to its minimum.
+            succ = block + (np.arange(len(block), dtype=np.intp) * n)[:, None]
+            low = np.broadcast_to(identity, block.shape)
+            reach = 1
+            while reach < n:
+                low = np.minimum(low, low.ravel()[succ])
+                succ = succ.ravel()[succ]
+                reach *= 2
+            out[start : start + len(block)] = n - np.count_nonzero(low == identity, axis=1)
+        out.flags.writeable = False
+        return out
 
     def is_transitive(self) -> bool:
         """True iff the generators move point 0 to every point (orbit BFS, no full enumeration)."""
@@ -100,17 +154,11 @@ class PermGroup:
 
     def min_index_witness(self) -> tuple[Perm, int]:
         """First element (in enumeration order) attaining the minimal index, with that index."""
-        elements = self.elements()
-        if len(elements) == 1:
+        inds = self.inds()
+        if len(inds) == 1:
             raise ValueError("trivial group has no nonidentity element")
-        best: Optional[Perm] = None
-        best_ind = self.degree  # ind is at most degree - 1
-        for elem in elements[1:]:
-            i = elem.ind()
-            if i < best_ind:
-                best, best_ind = elem, i
-        assert best is not None
-        return best, best_ind
+        k = 1 + int(np.argmin(inds[1:]))
+        return Perm(self._image_array()[k].tolist()), int(inds[k])
 
     def a_invariant(self) -> Fraction:
         """Reciprocal of the minimal index over nonidentity elements; 0 for the trivial group."""

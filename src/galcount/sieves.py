@@ -34,20 +34,61 @@ def primes_up_to(limit: int) -> list[int]:
     return [int(p) for p in np.nonzero(flags)[0]]
 
 
+_SIEVE_LIMIT = 1 << 32  # trial division by sieved primes below this, Miller-Rabin above
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below this
+
+
 def is_prime(n: int) -> bool:
-    """Trial division by the primes up to sqrt(n); time and memory grow as sqrt(n)."""
-    return n >= 2 and all(n % p for p in primes_up_to(math.isqrt(n)))
+    """Primality of n: trial division by the primes up to sqrt(n) below 2^32, and
+    the strong probable-prime test to the first 13 prime bases, which no composite
+    below 3.3e24 passes, from there.  Raises ValueError for larger n."""
+    if n < _SIEVE_LIMIT:
+        return n >= 2 and all(n % p for p in primes_up_to(math.isqrt(n)))
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is only decided below {_MR_LIMIT}, got {n}")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base in _MR_BASES; exact for every n below _MR_LIMIT."""
+    if n in _MR_BASES:
+        return True
+    if n < 2 or n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def mobius(limit: int) -> list[int]:
-    """mu[n] for n = 0..limit as Python ints (mu[0] = 0), sieved over the primes."""
+    """mu[n] for n = 0..limit as Python ints (mu[0] = 0).
+
+    Only primes p <= sqrt(limit) are sieved; the product of those dividing n is
+    kept alongside, and where it falls short of n the one prime factor above
+    sqrt(limit) that is left flips the sign.
+    """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(limit):
+    small = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in primes_up_to(math.isqrt(limit)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        small[p::p] *= p
+    mu[small != np.arange(limit + 1, dtype=small.dtype)] *= -1
     return mu.tolist()
 
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own algorithms: group orders
 come from an orbit-stabilizer (Schreier) recursion instead of breadth-first
-closure, squarefree/powerful tests from smallest-prime-factor factorization
-instead of square striking, cyclic-field multiplicities from counting
+closure, element lists from a closure one ``Perm`` product at a time instead
+of the image-array engine, squarefree/powerful tests from smallest-prime-factor
+factorization instead of square striking, cyclic-field multiplicities from counting
 characters (solutions of x^ell = 1 plus Moebius over the divisor lattice)
 instead of the conductor formula, and biquadratic triples from a
 perfect-square test on products of three discriminants.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from galcount.groups import EnumerationCapError
 from galcount.perms import Perm
 
 
@@ -44,6 +46,30 @@ def schreier_order(degree: int, gens: list[Perm]) -> int:
             if not s.is_identity:
                 stabilizer_gens.add(s)
     return len(transversal) * schreier_order(degree, sorted(stabilizer_gens, key=lambda x: x.images))
+
+
+def bfs_elements(degree: int, generators: list[Perm], cap: int) -> tuple[Perm, ...]:
+    """Breadth-first closure one ``Perm`` product at a time: by level, then parent,
+    then generator index, raising at the first element past the cap."""
+    identity = Perm.identity(degree)
+    seen = {identity}
+    out = [identity]
+    frontier = [identity]
+    while frontier:
+        level = []
+        for elem in frontier:
+            for gen in generators:
+                new = elem * gen
+                if new not in seen:
+                    seen.add(new)
+                    level.append(new)
+                    if len(seen) > cap:
+                        raise EnumerationCapError(
+                            f"group order exceeds cap {cap}"
+                        )
+        out.extend(level)
+        frontier = level
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_count_cyclic_even_ell_exit_2(capsys):
     assert code == 2 and "odd prime" in err
 
 
+def test_count_cyclic_long_ell_exit_2(capsys):
+    # a 19-digit strong pseudoprime is refused without sieving up to its square root
+    code, _, err = run_cli(capsys, "fit", "--family", "cyclic", "--ell", "3825123056546413051")
+    assert code == 2 and "odd prime" in err
+    code, _, err = run_cli(capsys, "count", "cyclic", "--ell", str(10**30 + 1), "--grid", "49:100:2")
+    assert code == 2 and "primality is only decided below" in err
+
+
 def test_count_census(tmp_path, capsys):
     path = tmp_path / "census.csv"
     path.write_text(

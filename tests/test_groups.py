@@ -1,7 +1,10 @@
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galcount.constructions import (
     alternating_natural,
@@ -17,7 +20,22 @@ from galcount.constructions import (
 from galcount.groups import EnumerationCapError, PermGroup
 from galcount.perms import Perm, parse_cycles
 
-from oracles import schreier_order
+from oracles import bfs_elements, schreier_order
+
+
+def assert_matches_reference(group):
+    """Elements, order, ind array, witness and a(G) against the per-Perm reference."""
+    reference = bfs_elements(group.degree, list(group.generators), group.cap)
+    assert group.elements() == reference
+    assert group.order() == len(reference) == schreier_order(group.degree, list(group.generators))
+    inds = [e.ind() for e in reference]
+    assert group.inds().tolist() == inds
+    if len(reference) == 1:
+        assert group.a_invariant() == 0
+        return
+    min_ind = min(inds[1:])
+    assert group.min_index_witness() == (reference[inds.index(min_ind, 1)], min_ind)
+    assert group.a_invariant() == Fraction(1, min_ind)
 
 
 def test_trivial_group():
@@ -48,6 +66,45 @@ def test_cap_exceeded():
     g = symmetric_natural(5, cap=100)
     with pytest.raises(EnumerationCapError):
         g.elements()
+
+
+def test_cap_error_text_matches_reference():
+    for cap in (1, 5, 100, 119):
+        group = symmetric_natural(5, cap=cap)
+        with pytest.raises(EnumerationCapError) as reference:
+            bfs_elements(5, list(group.generators), cap)
+        with pytest.raises(EnumerationCapError) as engine:
+            group.a_invariant()
+        assert str(engine.value) == str(reference.value) == f"group order exceeds cap {cap}"
+    assert symmetric_natural(5, cap=120).order() == 120
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(1, 8))
+    images = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermGroup(degree, [Perm(p) for p in images])
+
+
+def _group(degree, *cycle_strings):
+    return PermGroup(degree, [parse_cycles(c, degree) for c in cycle_strings])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(generator_sets())
+@example(_group(8, "(1 2)", "(1 2 3 4 5 6 7 8)", "(1 3)(2 4)"))  # S8, three generators
+@example(_group(7, "(1 2 3 4 5 6 7)", "(1 2)(3 6)"))  # GL(3, 2), order 168, on 7 points
+@example(_group(8, "(1 2 3)(4 5)", "(6 7 8)"))  # intransitive
+def test_engine_matches_reference_on_random_generators(group):
+    assert_matches_reference(group)
+
+
+def test_engine_above_256_points_uses_uint16():
+    group = regular_rep(wreath(cyclic_natural(2), symmetric_natural(4)))
+    assert group.degree == 384
+    assert group._image_array().dtype == np.uint16
+    assert_matches_reference(group)
+    assert group.a_invariant() == Fraction(1, 192)
 
 
 def test_is_transitive():
@@ -103,7 +160,7 @@ def test_orders_against_orbit_stabilizer_oracle():
     expected = [6, 24, 120, 12, 60, 16, 12, 24, 27, 6, 16, 384, 144, 54]
     for group, order in zip(catalog, expected):
         assert group.order() == order
-        assert schreier_order(group.degree, list(group.generators)) == order
+        assert_matches_reference(group)
 
 
 def test_concurrent_element_fill_single_result():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from galcount.sieves import (
+    _strong_probable_prime,
     dirichlet_tail_probe,
     divisor_bound_check,
     divisor_counts,
@@ -46,8 +47,25 @@ def test_primes_against_smallest_prime_factor():
 def test_mobius_against_factorization():
     limit = 10_000
     spf = spf_table(limit)
-    assert mobius(limit) == [0] + [_mobius(n, spf) for n in range(1, limit + 1)]
+    expected = [0] + [_mobius(n, spf) for n in range(1, limit + 1)]
+    assert mobius(limit) == expected
     assert mobius(0) == [0] and mobius(1) == [0, 1]
+    for small in range(1, 51):
+        assert mobius(small) == expected[: small + 1]
+    # 2 * 4999 > sqrt(9998): the prime factor above the sieved range flips the sign
+    assert mobius(9998) == expected[:9999] and expected[9998] == 1
+    assert mobius(4999)[4999] == -1
+
+
+def test_is_prime_miller_rabin_range():
+    primes = set(primes_up_to(100_000))
+    assert [n for n in range(-3, 100_001) if _strong_probable_prime(n)] == sorted(primes)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases 2..23
+    assert not is_prime((2**31 - 1) ** 2) and not is_prime((2**31 - 1) * (2**19 - 1))
+    assert is_prime(2**64 - 59)
+    with pytest.raises(ValueError, match="primality"):
+        is_prime(10**25 + 1)
 
 
 def test_introot():
