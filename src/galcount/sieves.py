@@ -34,24 +34,15 @@ def primes_up_to(limit: int) -> list[int]:
     return [int(p) for p in np.nonzero(flags)[0]]
 
 
-_SIEVE_LIMIT = 1 << 32  # trial division by sieved primes below this, Miller-Rabin above
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below this
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: trial division by the primes up to sqrt(n) below 2^32, and
-    the strong probable-prime test to the first 13 prime bases, which no composite
-    below 3.3e24 passes, from there.  Raises ValueError for larger n."""
-    if n < _SIEVE_LIMIT:
-        return n >= 2 and all(n % p for p in primes_up_to(math.isqrt(n)))
+    """Primality of n by the strong probable-prime test to the first 13 prime bases,
+    which no composite below 3.3e24 passes.  Raises ValueError for larger n."""
     if n >= _MR_LIMIT:
         raise ValueError(f"primality is only decided below {_MR_LIMIT}, got {n}")
-    return _strong_probable_prime(n)
-
-
-def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin to every base in _MR_BASES; exact for every n below _MR_LIMIT."""
     if n in _MR_BASES:
         return True
     if n < 2 or n % 2 == 0:
@@ -75,20 +66,21 @@ def _strong_probable_prime(n: int) -> bool:
 def mobius(limit: int) -> list[int]:
     """mu[n] for n = 0..limit as Python ints (mu[0] = 0).
 
-    Only primes p <= sqrt(limit) are sieved; the product of those dividing n is
-    kept alongside, and where it falls short of n the one prime factor above
-    sqrt(limit) that is left flips the sign.
+    Only primes p <= sqrt(limit) are sieved, each dividing out of rest[n] = n
+    once; a squarefree n left with rest[n] > 1 has one more prime factor, above
+    sqrt(limit), which flips the sign.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    small = np.ones(limit + 1, dtype=np.min_scalar_type(limit))
+    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
     for p in primes_up_to(math.isqrt(limit)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-        small[p::p] *= p
-    mu[small != np.arange(limit + 1, dtype=small.dtype)] *= -1
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
+    del rest  # freed before the list, which is the peak
     return mu.tolist()
 
 

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from galcount.sieves import (
-    _strong_probable_prime,
     dirichlet_tail_probe,
     divisor_bound_check,
     divisor_counts,
@@ -59,7 +58,7 @@ def test_mobius_against_factorization():
 
 def test_is_prime_miller_rabin_range():
     primes = set(primes_up_to(100_000))
-    assert [n for n in range(-3, 100_001) if _strong_probable_prime(n)] == sorted(primes)
+    assert [n for n in range(-3, 100_001) if is_prime(n)] == sorted(primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases 2..23
     assert not is_prime((2**31 - 1) ** 2) and not is_prime((2**31 - 1) * (2**19 - 1))
