@@ -54,6 +54,14 @@ def _parse_grid(spec: str) -> list[int]:
     return fitting.geometric_grid(lo, hi, points)
 
 
+def _not_utf8(path: str, error: type[Exception]) -> Exception:
+    """``error`` naming the file's first line that is not UTF-8.  Under surrogateescape each
+    undecodable byte reads as a lone surrogate, which valid UTF-8 never decodes to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
+        return error(f"line {next(bad, '?')}: not valid UTF-8")
+
+
 def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGroup:
     if (expr is None) == (path is None):
         raise GroupSpecError("give exactly one of a group expression or --file")
@@ -130,8 +138,11 @@ def _family_samples(args) -> list[tuple[int, int]]:
     if args.family == "census":
         if not args.label or not args.file:
             raise GroupSpecError("census counts need --label and --file")
-        with open(args.file, encoding="utf-8") as handle:
-            tallies = fields.ingest_census(handle)
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                tallies = fields.ingest_census(handle)
+        except UnicodeDecodeError:
+            raise _not_utf8(args.file, CensusFormatError) from None
         if args.label not in tallies:
             raise CensusFormatError(f"label {args.label!r} not present in census")
         tally = tallies[args.label]
@@ -158,6 +169,8 @@ def _read_samples(path: str) -> list[tuple[int, int]]:
             lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     except OSError as exc:
         raise InsufficientSamplesError(f"cannot read samples: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path, InsufficientSamplesError) from None
     if lines and lines[0][1] == "x,count":
         lines = lines[1:]
     samples = []

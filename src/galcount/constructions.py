@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
+from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, cycle_inds, row_keys
 from .perms import Perm
 from .sieves import is_prime
 
@@ -23,8 +23,6 @@ def cyclic_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """Cyclic group of order n acting on n points (regular for n >= 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return PermGroup(1, [Perm.identity(1)], cap)
     return PermGroup(n, [Perm([(i + 1) % n for i in range(n)])], cap)
 
 
@@ -77,27 +75,24 @@ def coset_action(
     Returns the degree-[G:H] group and whether the action is faithful.
     """
     cap = group.cap if cap is None else cap
-    elements = group.elements()
-    element_set = set(elements)
-    subgroup_gens = list(subgroup_gens)
-    for s in subgroup_gens:
-        if s not in element_set:
+    subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], cap)
+    images = group.image_array()
+    position = {key: i for i, key in enumerate(row_keys(images))}
+    rows = lambda perms: np.array([p.images for p in perms], dtype=images.dtype)  # noqa: E731
+    for s, key in zip(subgroup.generators, row_keys(rows(subgroup.generators))):
+        if key not in position:
             raise ValueError(f"subgroup generator {s} is not in the group")
-    if not subgroup_gens:
-        subgroup_gens = [group.identity()]
-    subgroup = PermGroup(group.degree, subgroup_gens, cap).elements()
-
-    label: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for x in elements:
-        if x not in label:
-            for h in subgroup:
-                label[x * h] = len(reps)
-            reps.append(x)
-
-    new_gens = [Perm(label[g * rep] for rep in reps) for g in group.generators]
-    action = PermGroup(len(reps), new_gens, cap)
-    faithful = action.order() == len(elements)
+    h = subgroup.image_array()
+    # Row t of x[h] is x * h_t, since (x * h)(i) = x(h(i)); likewise g[x] is g * x.
+    label = np.full(len(images), -1)
+    reps = []
+    for k in range(len(images)):
+        if label[k] < 0:
+            label[[position[key] for key in row_keys(images[k][h])]] = len(reps)
+            reps.append(k)
+    translates = [[position[key] for key in row_keys(g[images[reps]])] for g in rows(group.generators)]
+    action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], cap)
+    faithful = action.order() == len(images)
     return action, faithful
 
 
@@ -217,7 +212,7 @@ class DualRep:
 
     def __post_init__(self):
         if len(self.gens1) != len(self.gens2) or not self.gens1:
-            raise InconsistentDualRep("generator lists must be nonempty and of equal length")
+            raise InconsistentDualRep(f"generator counts {len(self.gens1)} and {len(self.gens2)} must be equal and nonzero")
         for gens in (self.gens1, self.gens2):
             if len({g.degree for g in gens}) != 1:
                 raise InconsistentDualRep("generators within one representation must share a degree")
@@ -247,44 +242,44 @@ def dual_regular_pair(group: PermGroup, cap: Optional[int] = None) -> DualRep:
 def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationReport:
     """Check a2 * ind2(s) >= a1 * ind1(s) for every element s, in exact rationals.
 
-    Each side is enumerated by ``PermGroup`` and elements are paired by BFS
-    position.  The pairing must commute with every aligned generator pair
-    (otherwise the generator lists do not present one group and
-    InconsistentDualRep is raised).  On failure the first violating element in
-    BFS order is reported as its BFS-tree word in the generators.
+    Both sides are enumerated at once as the diagonal group on n1 + n2 points,
+    whose j-th generator is gens1[j] on the first n1 and gens2[j] on the rest.
+    They present one group (and share its BFS order) exactly when each block of
+    its image array has distinct rows; otherwise InconsistentDualRep is raised.
+    On failure the first violating element is reported as its BFS-tree word.
     """
-    sides = [PermGroup(gens[0].degree, gens, cap) for gens in (dual.gens1, dual.gens2)]
-    elems1, elems2 = (side.elements() for side in sides)
-    pos1, pos2 = ({e: i for i, e in enumerate(elems)} for elems in (elems1, elems2))
-    if len(elems1) != len(elems2) or any(
-        pos1[e1 * g1] != pos2[e2 * g2]
-        for e1, e2 in zip(elems1, elems2)
-        for g1, g2 in zip(dual.gens1, dual.gens2)
-    ):
+    n1 = dual.gens1[0].degree
+    gens = [Perm(g1.images + tuple(n1 + i for i in g2.images)) for g1, g2 in zip(dual.gens1, dual.gens2)]
+    diagonal = PermGroup(n1 + dual.gens2[0].degree, gens, cap)
+    images = diagonal.image_array()
+    blocks = images[:, :n1], images[:, n1:] - n1
+    if any(len(set(row_keys(block))) != len(images) for block in blocks):
         raise InconsistentDualRep(
             "a word acts as the identity in one representation but not the other"
         )
-    a1, a2 = (side.a_invariant() for side in sides)
-    ind1, ind2 = (side.inds().astype(np.int64) for side in sides)
+    ind1, ind2 = (cycle_inds(block).astype(np.int64) for block in blocks)
+    a1, a2 = a_value(ind1), a_value(ind2)
     # a2 * ind2 < a1 * ind1, cross-multiplied over the positive denominators
     failing = np.flatnonzero(a2.numerator * a1.denominator * ind2 < a1.numerator * a2.denominator * ind1)
     if failing.size == 0:
         return DominationReport(holds=True, witness=None)
     k = int(failing[0])
-    word = _bfs_word(sides[0], pos1, k)
+    word = _bfs_word(diagonal, k)
     return DominationReport(holds=False, witness=DominationWitness(word, int(ind1[k]), int(ind2[k]), a1, a2))
 
 
-def _bfs_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:
+def _bfs_word(group: PermGroup, k: int) -> tuple[int, ...]:
     """Generator indices leading to the k-th element along the BFS tree.
 
-    An element's parent is the in-neighbour e * g_j^-1 with the smallest
+    An element's parent is the in-neighbour x * g_j^-1 with the smallest
     (position, j): the element whose j-th successor first reached it.
     """
-    inverses = [g.inverse() for g in group.generators]
-    elements = group.elements()
+    images = group.image_array()
+    position = {key: i for i, key in enumerate(row_keys(images))}
+    # argsort inverts each generator's image row, and x[inverse] is x * g_j^-1
+    inverses = np.argsort([g.images for g in group.generators], axis=1)
     word = []
     while k:
-        k, j = min((position[elements[k] * inv], j) for j, inv in enumerate(inverses))
+        k, j = min((position[key], j) for j, key in enumerate(row_keys(images[k][inverses])))
         word.append(j)
     return tuple(reversed(word))

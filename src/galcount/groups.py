@@ -18,13 +18,38 @@ class EnumerationCapError(RuntimeError):
     """Group closure exceeded the element cap; the group is too large for exhaustive methods."""
 
 
-def _image_dtype(degree: int) -> type:
-    """Smallest unsigned integer type holding the points 0..degree-1."""
-    if degree <= 1 << 8:
-        return np.uint8
-    if degree <= 1 << 16:
-        return np.uint16
-    return np.uint32
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """The raw bytes of each row of a 2-D image array: the one hashable lookup key for elements."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+
+
+def cycle_inds(images: np.ndarray) -> np.ndarray:
+    """Read-only ind = n - (number of cycles) of each row of an (rows, n) image array."""
+    rows, n = images.shape
+    identity = np.arange(n, dtype=images.dtype)
+    out = np.empty(rows, dtype=images.dtype)
+    step = max(1, _IND_CHUNK // n)
+    for start in range(0, rows, step):
+        block = images[start : start + step]
+        # Pointer doubling on flat indices: after r rounds low[i] is the least
+        # of the first 2^r points of i's cycle, so once 2^r >= n it is the
+        # cycle minimum, and each cycle has exactly one point equal to its minimum.
+        succ = block + (np.arange(len(block), dtype=np.intp) * n)[:, None]
+        low = np.broadcast_to(identity, block.shape)
+        reach = 1
+        while reach < n:
+            low = np.minimum(low, low.ravel()[succ])
+            succ = succ.ravel()[succ]
+            reach *= 2
+        out[start : start + len(block)] = n - np.count_nonzero(low == identity, axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def a_value(inds: np.ndarray) -> Fraction:
+    """Reciprocal of the least ind past row 0 (the identity); 0 when there is no other row."""
+    return Fraction(1, int(inds[1:].min())) if len(inds) > 1 else Fraction(0)
 
 
 class PermGroup:
@@ -73,28 +98,27 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def _image_array(self) -> np.ndarray:
+    def image_array(self) -> np.ndarray:
         """Read-only (order, degree) array of element images in breadth-first order (cached)."""
         return self._cached("_images", self._enumerate)
 
     def elements(self) -> tuple[Perm, ...]:
         """Full element list in deterministic breadth-first order (cached)."""
-        return self._cached("_elements", lambda: tuple(Perm(row) for row in self._image_array().tolist()))
+        return self._cached("_elements", lambda: tuple(Perm(row) for row in self.image_array().tolist()))
 
     def _enumerate(self) -> np.ndarray:
         n = self.degree
-        dtype = _image_dtype(n)
+        dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points, then uint16, then uint32
         gens = np.array([g.images for g in self.generators], dtype=dtype)
         identity = np.arange(n, dtype=dtype)
-        key_type = f"V{identity.nbytes}"
-        seen = {identity.tobytes()}
         levels = [identity[None, :]]
+        seen = set(row_keys(levels[0]))
         frontier = levels[0]
         while len(frontier):
             # (e * g)(i) = e(g(i)); row f * len(gens) + j is frontier[f] * gens[j]
             products = frontier[:, gens].reshape(-1, n)
             fresh = []
-            for i, key in enumerate(products.view(key_type).ravel().tolist()):
+            for i, key in enumerate(row_keys(products)):
                 if key not in seen:
                     seen.add(key)
                     fresh.append(i)
@@ -107,34 +131,11 @@ class PermGroup:
         return images
 
     def order(self) -> int:
-        return len(self._image_array())
+        return len(self.image_array())
 
     def inds(self) -> np.ndarray:
-        """Read-only array of ind = degree - (number of cycles) for every element, in
-        enumeration order (cached)."""
-        return self._cached("_inds", self._compute_inds)
-
-    def _compute_inds(self) -> np.ndarray:
-        images = self._image_array()
-        rows, n = images.shape
-        identity = np.arange(n, dtype=images.dtype)
-        out = np.empty(rows, dtype=images.dtype)
-        step = max(1, _IND_CHUNK // n)
-        for start in range(0, rows, step):
-            block = images[start : start + step]
-            # Pointer doubling on flat indices: after r rounds low[i] is the least
-            # of the first 2^r points of i's cycle, so once 2^r >= n it is the
-            # cycle minimum, and each cycle has exactly one point equal to its minimum.
-            succ = block + (np.arange(len(block), dtype=np.intp) * n)[:, None]
-            low = np.broadcast_to(identity, block.shape)
-            reach = 1
-            while reach < n:
-                low = np.minimum(low, low.ravel()[succ])
-                succ = succ.ravel()[succ]
-                reach *= 2
-            out[start : start + len(block)] = n - np.count_nonzero(low == identity, axis=1)
-        out.flags.writeable = False
-        return out
+        """``cycle_inds`` of every element, in enumeration order (cached)."""
+        return self._cached("_inds", lambda: cycle_inds(self.image_array()))
 
     def is_transitive(self) -> bool:
         """True iff the generators move point 0 to every point (orbit BFS, no full enumeration)."""
@@ -158,11 +159,8 @@ class PermGroup:
         if len(inds) == 1:
             raise ValueError("trivial group has no nonidentity element")
         k = 1 + int(np.argmin(inds[1:]))
-        return Perm(self._image_array()[k].tolist()), int(inds[k])
+        return Perm(self.image_array()[k].tolist()), int(inds[k])
 
     def a_invariant(self) -> Fraction:
         """Reciprocal of the minimal index over nonidentity elements; 0 for the trivial group."""
-        if self.order() == 1:
-            return Fraction(0)
-        _, min_ind = self.min_index_witness()
-        return Fraction(1, min_ind)
+        return a_value(self.inds())

@@ -17,7 +17,7 @@ import re
 from typing import Optional
 
 from . import constructions
-from .constructions import DualRep, InconsistentDualRep
+from .constructions import DualRep
 from .groups import DEFAULT_CAP, PermGroup
 from .perms import parse_cycle_list, parse_cycles
 
@@ -214,8 +214,4 @@ def parse_paired_file(text: str, cap: int = DEFAULT_CAP) -> DualRep:
         raise GroupSpecError("paired file must contain exactly one --- separator")
     first = _parse_block(lines[: split_at[0]], cap)
     second = _parse_block(lines[split_at[0] + 1 :], cap)
-    if len(first.generators) != len(second.generators):
-        raise InconsistentDualRep(
-            f"generator counts differ: {len(first.generators)} vs {len(second.generators)}"
-        )
     return DualRep(tuple(first.generators), tuple(second.generators))

@@ -4,8 +4,7 @@ Rows carry a group expression in the groupspec grammar when the group has a
 built-in construction; rows identified only by an external database label
 carry no expression and are reported as SKIPPED(external).  The degree-6 row
 Nr. 7 is realized as the coset action of the symmetric group on 4 letters on
-a cyclic subgroup of order 4; its coset action on a non-normal Klein subgroup
-has the same exponent 1/2 and is available as S4_ON_KLEIN_COSETS.
+a cyclic subgroup of order 4.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-S4_ON_KLEIN_COSETS = 'cosets(natural(S 4), "(1 2);(3 4)")'
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: group orders
 come from an orbit-stabilizer (Schreier) recursion instead of breadth-first
 closure, element lists from a closure one ``Perm`` product at a time instead
-of the image-array engine, squarefree/powerful tests from smallest-prime-factor
+of the image-array engine, coset actions and the domination check from ``Perm``
+sets and dicts with each side enumerated on its own instead of one diagonal
+image array, squarefree/powerful tests from smallest-prime-factor
 factorization instead of square striking, cyclic-field multiplicities from counting
 characters (solutions of x^ell = 1 plus Moebius over the divisor lattice)
 instead of the conductor formula, and biquadratic triples from a
@@ -14,8 +16,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from galcount.groups import EnumerationCapError
+import numpy as np
+
+from galcount.constructions import DominationReport, DominationWitness, DualRep, InconsistentDualRep
+from galcount.groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from galcount.perms import Perm
 
 
@@ -70,6 +76,90 @@ def bfs_elements(degree: int, generators: list[Perm], cap: int) -> tuple[Perm, .
         out.extend(level)
         frontier = level
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# coset actions and index domination one ``Perm`` at a time
+
+
+def coset_action_slow(
+    group: PermGroup, subgroup_gens: Sequence[Perm], cap: Optional[int] = None
+) -> tuple[PermGroup, bool]:
+    """Action of the group on the left cosets of the subgroup the given elements generate.
+
+    Cosets are labelled by first occurrence in the group's element enumeration,
+    so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
+    Returns the degree-[G:H] group and whether the action is faithful.
+    """
+    cap = group.cap if cap is None else cap
+    elements = group.elements()
+    element_set = set(elements)
+    subgroup_gens = list(subgroup_gens)
+    for s in subgroup_gens:
+        if s not in element_set:
+            raise ValueError(f"subgroup generator {s} is not in the group")
+    if not subgroup_gens:
+        subgroup_gens = [group.identity()]
+    subgroup = PermGroup(group.degree, subgroup_gens, cap).elements()
+
+    label: dict[Perm, int] = {}
+    reps: list[Perm] = []
+    for x in elements:
+        if x not in label:
+            for h in subgroup:
+                label[x * h] = len(reps)
+            reps.append(x)
+
+    new_gens = [Perm(label[g * rep] for rep in reps) for g in group.generators]
+    action = PermGroup(len(reps), new_gens, cap)
+    faithful = action.order() == len(elements)
+    return action, faithful
+
+
+def check_index_domination_slow(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationReport:
+    """Check a2 * ind2(s) >= a1 * ind1(s) for every element s, in exact rationals.
+
+    Each side is enumerated by ``PermGroup`` and elements are paired by BFS
+    position.  The pairing must commute with every aligned generator pair
+    (otherwise the generator lists do not present one group and
+    InconsistentDualRep is raised).  On failure the first violating element in
+    BFS order is reported as its BFS-tree word in the generators.
+    """
+    sides = [PermGroup(gens[0].degree, gens, cap) for gens in (dual.gens1, dual.gens2)]
+    elems1, elems2 = (side.elements() for side in sides)
+    pos1, pos2 = ({e: i for i, e in enumerate(elems)} for elems in (elems1, elems2))
+    if len(elems1) != len(elems2) or any(
+        pos1[e1 * g1] != pos2[e2 * g2]
+        for e1, e2 in zip(elems1, elems2)
+        for g1, g2 in zip(dual.gens1, dual.gens2)
+    ):
+        raise InconsistentDualRep(
+            "a word acts as the identity in one representation but not the other"
+        )
+    a1, a2 = (side.a_invariant() for side in sides)
+    ind1, ind2 = (side.inds().astype(np.int64) for side in sides)
+    # a2 * ind2 < a1 * ind1, cross-multiplied over the positive denominators
+    failing = np.flatnonzero(a2.numerator * a1.denominator * ind2 < a1.numerator * a2.denominator * ind1)
+    if failing.size == 0:
+        return DominationReport(holds=True, witness=None)
+    k = int(failing[0])
+    word = _bfs_word(sides[0], pos1, k)
+    return DominationReport(holds=False, witness=DominationWitness(word, int(ind1[k]), int(ind2[k]), a1, a2))
+
+
+def _bfs_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:
+    """Generator indices leading to the k-th element along the BFS tree.
+
+    An element's parent is the in-neighbour e * g_j^-1 with the smallest
+    (position, j): the element whose j-th successor first reached it.
+    """
+    inverses = [g.inverse() for g in group.generators]
+    elements = group.elements()
+    word = []
+    while k:
+        k, j = min((position[elements[k] * inv], j) for j, inv in enumerate(inverses))
+        word.append(j)
+    return tuple(reversed(word))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,13 @@ def test_count_census_errors_exit_5(tmp_path, capsys):
     assert code == 5 and "D4" in err
 
 
+def test_count_census_not_utf8_exit_5(tmp_path, capsys):
+    path = tmp_path / "census.csv"
+    path.write_bytes(b"degree,group,abs_disc\n3,S3,23\n3,S3,\xff\xfe31\n")
+    code, _, err = run_cli(capsys, "count", "census", "--label", "S3", "--file", str(path))
+    assert code == 5 and "line 3:" in err
+
+
 def test_fit_synthetic_file(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     rows = ["x,count"] + [f"{x},{int(5 * x**0.5)}" for x in (10**4, 10**5, 10**6, 10**7, 10**8)]
@@ -191,6 +198,13 @@ def test_fit_malformed_row_exit_6(tmp_path, capsys):
         assert code == 6 and "line 5:" in err
 
 
+def test_fit_samples_not_utf8_exit_6(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"x,count\r\n10,3\r\n\xff100,5\r\n")
+    code, _, err = run_cli(capsys, "fit", "--samples", str(path))
+    assert code == 6 and "line 3:" in err
+
+
 def test_compare_reps_example_fails(capsys):
     code, out, _ = run_cli(capsys, "compare-reps", "--example", "7.4")
     assert code == 0
@@ -226,3 +240,12 @@ def test_compare_reps_inconsistent_pair_exit_7(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     code, _, err = run_cli(capsys, "compare-reps", "--file", str(path))
     assert code == 7 and "identity" in err
+
+
+def test_compare_reps_inconsistent_pair_over_cap_exit_3(tmp_path, capsys):
+    # each side fits under the cap, but the diagonal group both generate (C6) does not
+    text = "degree=2\ngen=(1 2)\n---\ndegree=3\ngen=(1 2 3)\n"
+    path = tmp_path / "pair.grp"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "--cap", "5", "compare-reps", "--file", str(path))[0] == 3
+    assert run_cli(capsys, "--cap", "6", "compare-reps", "--file", str(path))[0] == 7

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from galcount.constructions import (
 from galcount.groups import EnumerationCapError, PermGroup
 from galcount.perms import Perm, parse_cycles
 
-from oracles import regular_index_formula
+from oracles import check_index_domination_slow, coset_action_slow, regular_index_formula
 
 
 # Regular groups with the smallest prime divisor of their order, for the
@@ -399,3 +400,69 @@ def test_mismatched_generator_counts_rejected():
     s3 = symmetric_natural(3)
     with pytest.raises(InconsistentDualRep):
         DualRep(tuple(s3.generators), (s3.generators[0],))
+
+
+def _relabelled(gens, rng):
+    """The generators conjugated by a random renaming of the points."""
+    sigma = Perm(rng.sample(range(gens[0].degree), gens[0].degree))
+    return tuple(sigma * g * sigma.inverse() for g in gens)
+
+
+def test_matches_perm_reference():
+    # coset actions: generator images and faithfulness, and the same refusal of a
+    # generator outside the group
+    cosets = [
+        (symmetric_natural(4), ["(1 2 3)"]),
+        (symmetric_natural(4), ["(1 2)", "(3 4)"]),
+        (symmetric_natural(4), ["(1 2 3 4)"]),
+        (symmetric_natural(3), ["(1 2 3)"]),
+        (alternating_natural(4), ["(1 2)(3 4)"]),
+        (symmetric_natural(5), ["(1 2 3 4 5)", "(2 5)(3 4)"]),
+        (heisenberg_mod3(), ["()"]),
+        (wreath(cyclic_natural(2), symmetric_natural(4)), ["()"]),
+    ]
+    for group, cycles in cosets:
+        subgroup_gens = [parse_cycles(c, group.degree) for c in cycles]
+        (action, faithful), (expected, expected_faithful) = (
+            build(group, subgroup_gens) for build in (coset_action, coset_action_slow)
+        )
+        assert action.generators == expected.generators and faithful == expected_faithful
+    for build in (coset_action, coset_action_slow):
+        with pytest.raises(ValueError, match=r"subgroup generator \(1 2\) is not in the group"):
+            build(alternating_natural(4), [parse_cycles("(1 2)", 4)])
+
+    # domination: the whole report (holds, witness word, ind1, ind2, a1, a2)
+    rng = random.Random(7)
+    example_7_4 = dual_regular_pair(direct_product(heisenberg_mod3(), cyclic_natural(2)))
+    coxeter_s4 = PermGroup(4, [parse_cycles(c, 4) for c in ("(1 2)", "(2 3)", "(3 4)")])
+    swapped = [
+        symmetric_natural(4),
+        coxeter_s4,
+        wreath(cyclic_natural(2), symmetric_natural(4)),
+        dihedral_natural(5),
+    ]
+    pairs = ell_group_pairs() + [example_7_4]
+    pairs += [DualRep(tuple(g.generators), tuple(regular_rep(g).generators)) for g in swapped]
+    pairs += [DualRep(d.gens2, d.gens1) for d in ell_group_pairs()]
+    pairs += [DualRep(d.gens1[::-1], d.gens2[::-1]) for d in list(pairs)]
+    pairs += [DualRep(_relabelled(d.gens1, rng), _relabelled(d.gens2, rng)) for d in list(pairs)]
+    outcomes = set()
+    for dual in pairs:
+        report = check_index_domination(dual)
+        assert report == check_index_domination_slow(dual)
+        outcomes.add(report.holds)
+    assert outcomes == {True, False}
+
+    # pairs that do not present one group, including one side's generators reordered
+    s3 = symmetric_natural(3)
+    inconsistent = [
+        DualRep(tuple(cyclic_natural(2).generators), tuple(cyclic_natural(4).generators)),
+        DualRep(tuple(s3.generators), tuple(regular_rep(PermGroup(3, s3.generators[::-1])).generators)),
+        DualRep(example_7_4.gens1, example_7_4.gens2[::-1]),
+        DualRep(tuple(coxeter_s4.generators), (*symmetric_natural(4).generators, parse_cycles("(1 2)", 4))),
+    ]
+    inconsistent += [DualRep(d.gens2, d.gens1) for d in inconsistent]
+    for dual in inconsistent + [DualRep(_relabelled(d.gens1, rng), d.gens2) for d in inconsistent]:
+        for check in (check_index_domination, check_index_domination_slow):
+            with pytest.raises(InconsistentDualRep):
+                check(dual)

@@ -80,7 +80,7 @@ def test_cap_error_text_matches_reference():
 def test_engine_above_256_points_uses_uint16():
     group = regular_rep(wreath(cyclic_natural(2), symmetric_natural(4)))
     assert group.degree == 384
-    assert group._image_array().dtype == np.uint16
+    assert group.image_array().dtype == np.uint16
     assert_matches_reference(group)
     assert group.a_invariant() == Fraction(1, 192)
 
