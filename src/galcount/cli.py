@@ -18,7 +18,7 @@ from .constructions import InconsistentDualRep, check_index_domination, dual_reg
 from .fields import CensusFormatError
 from .fitting import InsufficientSamplesError
 from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
-from .groupspec import GroupSpecError, load_group_file, parse_group_expr, parse_paired_file
+from .groupspec import GroupSpecError, load_group_file, not_utf8, parse_group_expr, parse_paired_file
 from .perms import CycleParseError
 
 EXIT_OK = 0
@@ -52,14 +52,6 @@ def _parse_grid(spec: str) -> list[int]:
     except (ValueError, OverflowError):
         raise GroupSpecError(f"grid must be numeric, got {spec!r}") from None
     return fitting.geometric_grid(lo, hi, points)
-
-
-def _not_utf8(path: str, error: type[Exception]) -> Exception:
-    """``error`` naming the file's first line that is not UTF-8.  Under surrogateescape each
-    undecodable byte reads as a lone surrogate, which valid UTF-8 never decodes to."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
-        return error(f"line {next(bad, '?')}: not valid UTF-8")
 
 
 def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGroup:
@@ -142,14 +134,14 @@ def _family_samples(args) -> list[tuple[int, int]]:
             with open(args.file, encoding="utf-8") as handle:
                 tallies = fields.ingest_census(handle)
         except UnicodeDecodeError:
-            raise _not_utf8(args.file, CensusFormatError) from None
+            raise not_utf8(args.file, CensusFormatError) from None
         if args.label not in tallies:
             raise CensusFormatError(f"label {args.label!r} not present in census")
         tally = tallies[args.label]
         if args.grid:
             grid = _parse_grid(args.grid)
         else:
-            top = max(d for d, _ in tally.entries)
+            top = tally.entries[-1][0]
             grid = fitting.geometric_grid(1, top, 12)
         return fields.tally_samples(tally, grid)
     raise GroupSpecError(f"unknown family {args.family!r}")
@@ -170,7 +162,7 @@ def _read_samples(path: str) -> list[tuple[int, int]]:
     except OSError as exc:
         raise InsufficientSamplesError(f"cannot read samples: {exc}") from None
     except UnicodeDecodeError:
-        raise _not_utf8(path, InsufficientSamplesError) from None
+        raise not_utf8(path, InsufficientSamplesError) from None
     if lines and lines[0][1] == "x,count":
         lines = lines[1:]
     samples = []
@@ -228,8 +220,12 @@ def _cmd_compare_reps(args) -> int:
         )
         dual = dual_regular_pair(product)
     else:
-        with open(args.file, encoding="utf-8") as handle:
-            dual = parse_paired_file(handle.read(), args.cap)
+        try:
+            with open(args.file, encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError:
+            raise not_utf8(args.file, GroupSpecError) from None
+        dual = parse_paired_file(text, args.cap)
     report = check_index_domination(dual, args.cap)
     if report.holds:
         print("HOLDS")

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO, Union
+from itertools import accumulate, chain, compress, islice
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -196,9 +198,7 @@ def count_biquadratic(x: int) -> int:
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":
-    return DiscriminantTally.from_pairs(
-        "C2xC2", ((d, 1) for d in biquadratic_discs(xmax))
-    )
+    return DiscriminantTally._from_sorted("C2xC2", biquadratic_discs(xmax))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,13 @@ def biquadratic_tally(xmax: int) -> "DiscriminantTally":
 
 
 class DiscriminantTally:
-    """Sorted (|disc|, multiplicity) pairs for one group label."""
+    """Ascending distinct |disc| values for one group label, with the number of
+    fields up to and including each."""
 
-    __slots__ = ("label", "entries", "_cumulative")
+    __slots__ = ("label", "_discs", "_cumulative")
 
     def __init__(self, label: str, entries: Iterable[tuple[int, int]]):
+        """From (|disc|, multiplicity) pairs, strictly increasing in |disc|."""
         entries = tuple(entries)
         for (d, m) in entries:
             if d < 1 or m < 1:
@@ -219,13 +221,8 @@ class DiscriminantTally:
             if d1 >= d2:
                 raise ValueError("entries must be strictly increasing in abs_disc")
         self.label = label
-        self.entries = entries
-        cumulative = []
-        total = 0
-        for _, m in entries:
-            total += m
-            cumulative.append(total)
-        self._cumulative = tuple(cumulative)
+        self._discs = [d for d, _ in entries]
+        self._cumulative = list(accumulate(m for _, m in entries))
 
     @classmethod
     def from_pairs(cls, label: str, pairs: Iterable[tuple[int, int]]) -> "DiscriminantTally":
@@ -235,16 +232,34 @@ class DiscriminantTally:
             merged[d] = merged.get(d, 0) + m
         return cls(label, sorted(merged.items()))
 
+    @classmethod
+    def _from_sorted(cls, label: str, discs: list[int]) -> "DiscriminantTally":
+        """One field per item of ``discs``, which the caller guarantees ascending and
+        positive; each run of equal values becomes one entry, found without a Python loop."""
+        ends_run = list(map(operator.ne, discs, islice(discs, 1, None)))
+        ends_run.append(True)
+        tally = cls.__new__(cls)
+        tally.label = label
+        tally._discs = list(compress(discs, ends_run))
+        tally._cumulative = list(compress(range(1, len(discs) + 1), ends_run))
+        return tally
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """(|disc|, multiplicity) pairs, ascending in |disc|."""
+        counts = map(operator.sub, self._cumulative, chain((0,), self._cumulative))
+        return tuple(zip(self._discs, counts))
+
     def total(self) -> int:
         return self._cumulative[-1] if self._cumulative else 0
 
     def count_up_to(self, x: int) -> int:
         """Z(x): number of fields with |disc| <= x."""
-        i = bisect.bisect_right(self.entries, (x, float("inf")))
+        i = bisect.bisect_right(self._discs, x)
         return self._cumulative[i - 1] if i else 0
 
     def __repr__(self) -> str:
-        return f"DiscriminantTally({self.label!r}, {len(self.entries)} discriminants, Z={self.total()})"
+        return f"DiscriminantTally({self.label!r}, {len(self._discs)} discriminants, Z={self.total()})"
 
 
 def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
@@ -273,32 +288,8 @@ def read_census_records(stream: Union[str, TextIO, Iterable[str]]) -> list[Censu
     records with integer degree, a label without commas, and a positive
     integer absolute discriminant.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
-    if not lines or lines[0].strip() != CENSUS_HEADER:
-        raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
-    records = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise CensusFormatError(f"line {number}: expected 3 comma-separated fields")
-        degree_text, label, disc_text = (p.strip() for p in parts)
-        try:
-            degree = int(degree_text)
-            abs_disc = int(disc_text)
-        except ValueError:
-            raise CensusFormatError(f"line {number}: non-integer field") from None
-        if degree < 1:
-            raise CensusFormatError(f"line {number}: degree must be positive")
-        if abs_disc < 1:
-            raise CensusFormatError(f"line {number}: abs_disc must be at least 1")
-        if not label:
-            raise CensusFormatError(f"line {number}: empty group label")
-        records.append(CensusRecord(degree, label, abs_disc))
+    records: list[CensusRecord] = []
+    _census_discs(stream, records)
     return records
 
 
@@ -307,12 +298,53 @@ def ingest_census(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, Discri
 
     Repeated (label, abs_disc) records accumulate multiplicity.
     """
-    grouped: dict[str, list[tuple[int, int]]] = {}
-    for record in read_census_records(stream):
-        grouped.setdefault(record.group_label, []).append((record.abs_disc, 1))
-    return {
-        label: DiscriminantTally.from_pairs(label, pairs) for label, pairs in grouped.items()
-    }
+    grouped = _census_discs(stream)
+    for discs in grouped.values():
+        discs.sort()
+    return {label: DiscriminantTally._from_sorted(label, discs) for label, discs in grouped.items()}
+
+
+def _census_discs(
+    stream: Union[str, TextIO, Iterable[str]], records: Optional[list[CensusRecord]] = None
+) -> dict[str, list[int]]:
+    """abs_disc values by group label, in file order, from one pass over the lines.
+
+    A ``str`` is split with ``splitlines()``; any other stream is read whole, one
+    item per line as iterating it gives, before the first line is checked.  Each
+    line then passes these checks in order, the first failure raising
+    CensusFormatError with its line number: blank (skipped), three fields,
+    integer degree and abs_disc, degree >= 1, abs_disc >= 1, nonempty label.
+    Fields are ``str.strip()``-ed first, so a line's trailing newline never
+    matters.  With ``records``, each line's CensusRecord is appended to it too.
+    """
+    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
+    if not lines or lines[0].strip() != CENSUS_HEADER:
+        raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
+    grouped: dict[str, list[int]] = {}
+    for number, line in enumerate(islice(lines, 1, None), start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise CensusFormatError(f"line {number}: expected 3 comma-separated fields")
+        degree_text, label, disc_text = parts
+        try:
+            # int() alone strips less: not the separators \x1c-\x1f
+            degree = int(degree_text.strip())
+            abs_disc = int(disc_text.strip())
+        except ValueError:
+            raise CensusFormatError(f"line {number}: non-integer field") from None
+        if degree < 1:
+            raise CensusFormatError(f"line {number}: degree must be positive")
+        if abs_disc < 1:
+            raise CensusFormatError(f"line {number}: abs_disc must be at least 1")
+        label = label.strip()
+        if not label:
+            raise CensusFormatError(f"line {number}: empty group label")
+        if records is not None:
+            records.append(CensusRecord(degree, label, abs_disc))
+        grouped.setdefault(label, []).append(abs_disc)
+    return grouped
 
 
 def _require_ascending(grid: Sequence[int]) -> None:

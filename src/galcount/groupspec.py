@@ -150,12 +150,22 @@ class _Parser:
         raise GroupSpecError(f"unknown construction {name!r}")
 
 
+def not_utf8(path: str, error: type[Exception]) -> Exception:
+    """``error`` naming the file's first line that is not UTF-8.  Under surrogateescape each
+    undecodable byte reads as a lone surrogate, which valid UTF-8 never decodes to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
+        return error(f"line {next(bad, '?')}: not valid UTF-8")
+
+
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_group_file(handle.read(), cap)
     except OSError as exc:
         raise GroupSpecError(f"cannot read group file {path!r}: {exc}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path, GroupSpecError) from None
 
 
 def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:

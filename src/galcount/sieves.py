@@ -181,12 +181,19 @@ def powerful_sieve(k: int, limit: int) -> SieveTable:
 
 
 def divisor_counts(limit: int) -> np.ndarray:
-    """t[n] = number of positive divisors of n, for n = 1..limit (t[0] = 0)."""
+    """t[n] = number of positive divisors of n, for n = 1..limit (t[0] = 0).
+
+    The divisors of n pair up as (d, n/d) with d < n/d, plus d alone when
+    n = d*d, so every divisor pair is found from its smaller member d <= sqrt(n):
+    d*d gains 1, and each multiple d*m with m > d gains 2 (for d and m).  That
+    is sqrt(limit) slice updates touching about limit*log(limit)/2 entries.
+    """
     if limit < 1:
         raise ValueError("limit must be positive")
     t = np.zeros(limit + 1, dtype=np.int32)
-    for d in range(1, limit + 1):
-        t[d::d] += 1
+    for d in range(1, math.isqrt(limit) + 1):
+        t[d * d] += 1
+        t[d * (d + 1) :: d] += 2
     return t
 
 

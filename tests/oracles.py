@@ -8,19 +8,22 @@ sets and dicts with each side enumerated on its own instead of one diagonal
 image array, squarefree/powerful tests from smallest-prime-factor
 factorization instead of square striking, cyclic-field multiplicities from counting
 characters (solutions of x^ell = 1 plus Moebius over the divisor lattice)
-instead of the conductor formula, and biquadratic triples from a
-perfect-square test on products of three discriminants.
+instead of the conductor formula, biquadratic triples from a
+perfect-square test on products of three discriminants, divisor counts from
+one slice update per d <= limit instead of divisor pairs, and census tallies
+from one record object per line merged through a dict instead of sorted runs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from galcount.constructions import DominationReport, DominationWitness, DualRep, InconsistentDualRep
+from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, DiscriminantTally
 from galcount.groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from galcount.perms import Perm
 
@@ -315,3 +318,66 @@ def divisor_count_slow(n: int) -> int:
 def regular_index_formula(order: int, element_order: int) -> Fraction:
     """|G|(m-1)/m, the index of an order-m element in the regular action."""
     return Fraction(order * (element_order - 1), element_order)
+
+
+def divisor_counts_slow(limit: int) -> np.ndarray:
+    """t[n] = number of positive divisors of n, for n = 1..limit (t[0] = 0)."""
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    t = np.zeros(limit + 1, dtype=np.int32)
+    for d in range(1, limit + 1):
+        t[d::d] += 1
+    return t
+
+
+# ---------------------------------------------------------------------------
+# census ingestion, one CensusRecord per line
+
+
+def read_census_records_slow(stream: Union[str, TextIO, Iterable[str]]) -> list[CensusRecord]:
+    """Parse a census stream into records, rejecting malformed lines by number.
+
+    Format: first line exactly ``degree,group,abs_disc``, then comma-separated
+    records with integer degree, a label without commas, and a positive
+    integer absolute discriminant.
+    """
+    if isinstance(stream, str):
+        lines = stream.splitlines()
+    else:
+        lines = [line.rstrip("\n") for line in stream]
+    if not lines or lines[0].strip() != CENSUS_HEADER:
+        raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise CensusFormatError(f"line {number}: expected 3 comma-separated fields")
+        degree_text, label, disc_text = (p.strip() for p in parts)
+        try:
+            degree = int(degree_text)
+            abs_disc = int(disc_text)
+        except ValueError:
+            raise CensusFormatError(f"line {number}: non-integer field") from None
+        if degree < 1:
+            raise CensusFormatError(f"line {number}: degree must be positive")
+        if abs_disc < 1:
+            raise CensusFormatError(f"line {number}: abs_disc must be at least 1")
+        if not label:
+            raise CensusFormatError(f"line {number}: empty group label")
+        records.append(CensusRecord(degree, label, abs_disc))
+    return records
+
+
+def ingest_census_slow(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
+    """Read a census of fields (one per line) and group it into tallies by label.
+
+    Repeated (label, abs_disc) records accumulate multiplicity.
+    """
+    grouped: dict[str, list[tuple[int, int]]] = {}
+    for record in read_census_records_slow(stream):
+        grouped.setdefault(record.group_label, []).append((record.abs_disc, 1))
+    return {
+        label: DiscriminantTally.from_pairs(label, pairs) for label, pairs in grouped.items()
+    }

@@ -144,6 +144,20 @@ def test_count_census_not_utf8_exit_5(tmp_path, capsys):
     assert code == 5 and "line 3:" in err
 
 
+def test_aval_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "group.grp"
+    path.write_bytes(b"degree=3\ngen=(1 2 3)\n# caf\xe9\n")
+    code, _, err = run_cli(capsys, "aval", "--file", str(path))
+    assert code == 2 and err == "error: line 3: not valid UTF-8\n"
+
+
+def test_compare_reps_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "pair.grp"
+    path.write_bytes(b"degree=4\r\ngen=(1 2 3 4)\r\n---\r\n# \xff\r\ndegree=4\r\ngen=(1 2 3 4)\r\n")
+    code, _, err = run_cli(capsys, "compare-reps", "--file", str(path))
+    assert code == 2 and err == "error: line 4: not valid UTF-8\n"
+
+
 def test_fit_synthetic_file(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     rows = ["x,count"] + [f"{x},{int(5 * x**0.5)}" for x in (10**4, 10**5, 10**6, 10**7, 10**8)]

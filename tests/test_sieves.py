@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from galcount.sieves import (
@@ -16,7 +17,14 @@ from galcount.sieves import (
     squarefree_sieve,
 )
 
-from oracles import _mobius, divisor_count_slow, is_squarefree_slow, min_exponent, spf_table
+from oracles import (
+    _mobius,
+    divisor_count_slow,
+    divisor_counts_slow,
+    is_squarefree_slow,
+    min_exponent,
+    spf_table,
+)
 
 
 def test_squarefree_small():
@@ -119,6 +127,19 @@ def test_divisor_counts():
     assert t[12] == 6
     for n in range(1, 10_001):
         assert t[n] == divisor_count_slow(n)
+
+
+def test_divisor_counts_match_slice_loop():
+    # t[n] depends only on the divisors d <= n, so the reference table for any
+    # limit up to 2000 is a prefix of the one for 2000
+    reference = divisor_counts_slow(2000)
+    for limit in range(1, 2001):
+        t = divisor_counts(limit)
+        assert t.dtype == reference.dtype and np.array_equal(t, reference[: limit + 1]), limit
+    t = divisor_counts(10**6)
+    reference = divisor_counts_slow(10**6)
+    assert t.dtype == reference.dtype == np.int32
+    assert np.array_equal(t, reference)
 
 
 def test_divisor_bound_check():
