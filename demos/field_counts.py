@@ -21,8 +21,9 @@ print(f"Quadratic fields with |disc| <= 1e6: {count_quadratic(10**6)}")
 
 print()
 print("Cyclic cubic conductors f <= 100 (disc = f^2, multiplicity 2^(t-1)):")
-for entry in cyclic_conductors(3, 100):
-    print(f"  f={entry.f:3}  ramified places t={entry.t}  fields={entry.multiplicity}  disc={entry.disc}")
+for f, fields in cyclic_conductors(3, 100).items():
+    t = fields.bit_length()  # fields = 2^(t-1)
+    print(f"  f={f:3}  ramified places t={t}  fields={fields}  disc={f**2}")
 
 print()
 print("Counts on a geometric grid (x, Z(x)):")

@@ -4,6 +4,8 @@ the divisor growth bound, and a Dirichlet partial-sum convergence probe."""
 
 import math
 
+import numpy as np
+
 from galcount import (
     dirichlet_tail_probe,
     divisor_bound_check,
@@ -11,10 +13,9 @@ from galcount import (
     powerful_numbers,
     squarefree_sieve,
 )
-from galcount.sieves import powerful_sieve
 
 print("Squarefree integers up to 30:")
-flags = squarefree_sieve(30).flags
+flags = squarefree_sieve(30)
 print(" ", [n for n in range(1, 31) if flags[n]])
 
 print()
@@ -38,7 +39,8 @@ for eps in (1.0, 0.5, 0.25):
 print()
 print("Dirichlet tail probe: partial sums of sum chi(n)/n^s for chi the 2-powerful")
 print("indicator (partial sums of chi grow like sqrt(x), so s > 1/2 should converge):")
-coeffs = powerful_sieve(2, 10**6).flags[1:].astype(float)
+coeffs = np.zeros(10**6)
+coeffs[np.array(powerful_numbers(2, 10**6)) - 1] = 1.0
 report = dirichlet_tail_probe(coeffs, r=0.5, s=0.6, grid=[10**k for k in range(1, 7)])
 for cutoff, value in zip(report.cutoffs, report.partial_sums):
     print(f"  x = {cutoff:8}: partial sum = {value:.6f}")

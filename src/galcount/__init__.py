@@ -30,7 +30,6 @@ from .constructions import (
 from .fields import (
     CensusFormatError,
     CensusRecord,
-    ConductorEntry,
     DiscriminantTally,
     biquadratic_tally,
     compose_discriminants,
@@ -58,7 +57,6 @@ from .groupspec import GroupSpecError, parse_group_expr, parse_group_file, parse
 from .perms import CycleParseError, Perm, parse_cycles
 from .sieves import (
     DivisorBoundReport,
-    SieveTable,
     TailProbeReport,
     dirichlet_tail_probe,
     divisor_bound_check,

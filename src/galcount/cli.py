@@ -131,7 +131,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
         if not args.label or not args.file:
             raise GroupSpecError("census counts need --label and --file")
         try:
-            with open(args.file, encoding="utf-8") as handle:
+            with open(args.file, encoding="utf-8-sig") as handle:
                 tallies = fields.ingest_census(handle)
         except UnicodeDecodeError:
             raise not_utf8(args.file, CensusFormatError) from None
@@ -157,7 +157,7 @@ def _cmd_count(args) -> int:
 
 def _read_samples(path: str) -> list[tuple[int, int]]:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     except OSError as exc:
         raise InsufficientSamplesError(f"cannot read samples: {exc}") from None
@@ -171,6 +171,10 @@ def _read_samples(path: str) -> list[tuple[int, int]]:
             x, count = (int(part) for part in line.split(","))
         except ValueError:
             raise InsufficientSamplesError(f"line {number}: bad sample line {line!r}") from None
+        try:
+            float(x), float(count)  # the fit works in floats
+        except OverflowError:
+            raise InsufficientSamplesError(f"line {number}: sample beyond the float range") from None
         samples.append((x, count))
     if not samples:
         raise InsufficientSamplesError("no samples in file")
@@ -221,7 +225,7 @@ def _cmd_compare_reps(args) -> int:
         dual = dual_regular_pair(product)
     else:
         try:
-            with open(args.file, encoding="utf-8") as handle:
+            with open(args.file, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except UnicodeDecodeError:
             raise not_utf8(args.file, GroupSpecError) from None

@@ -36,7 +36,7 @@ def fundamental_discriminants(x: int) -> list[int]:
     """
     if x < 1:
         return []
-    flags = squarefree_sieve(x).flags
+    flags = squarefree_sieve(x)
     discs = (
         _discriminant(s) for m in np.flatnonzero(flags).tolist() for s in (m, -m) if s != 1
     )
@@ -77,52 +77,28 @@ def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
 # cyclic fields of odd prime degree
 
 
-@dataclass(frozen=True)
-class ConductorEntry:
-    """One admissible conductor f with its field count and discriminant f**(ell-1).
+def cyclic_conductors(ell: int, fmax: int) -> dict[int, int]:
+    """Number of cyclic degree-ell fields of exact conductor f, for each
+    admissible conductor 2 <= f <= fmax, ascending in f.
 
-    t counts the ramified places, the wild place once when ell^2 divides f;
-    the number of cyclic degree-ell fields of exact conductor f is
-    (ell-1)**(t-1).
-    """
-
-    f: int
-    t: int
-    multiplicity: int
-    disc: int
-
-
-def cyclic_conductors(ell: int, fmax: int) -> list[ConductorEntry]:
-    """All admissible conductors f <= fmax for cyclic degree-ell fields, sorted by f.
-
-    Admissible f: a product of distinct primes = 1 (mod ell), optionally times
-    ell^2, with at least one factor.
+    Admissible f: a product of t >= 1 distinct factors, each a prime = 1
+    (mod ell) or ell^2, with (ell-1)**(t-1) fields.  So h(f) = (ell-1)**t,
+    with h(1) = 1 and h = 0 off the admissible f, is multiplicative, and the
+    table is built one admissible prime power q at a time: before q joins, h
+    vanishes on every multiple of q, so h[q*m] = (ell-1) * h[m] fills them
+    all.  h(f) < f, so int64 is exact.
     """
     if ell % 2 == 0 or not is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
-    if fmax < 1:
-        return []
-    split_primes = [p for p in primes_up_to(fmax) if p % ell == 1]
-    wild = ell * ell
-    entries: list[ConductorEntry] = []
-
-    def record(f: int, t: int) -> None:
-        entries.append(ConductorEntry(f, t, (ell - 1) ** (t - 1), f ** (ell - 1)))
-
-    def extend(start: int, f: int, t: int) -> None:
-        if t >= 1:
-            record(f, t)
-        if f * wild <= fmax:
-            record(f * wild, t + 1)
-        for i in range(start, len(split_primes)):
-            nf = f * split_primes[i]
-            if nf > fmax:
-                break
-            extend(i + 1, nf, t + 1)
-
-    extend(0, 1, 0)
-    entries.sort(key=lambda e: e.f)
-    return entries
+    if fmax < 2:
+        return {}
+    h = np.zeros(fmax + 1, dtype=np.int64)
+    h[1] = 1
+    wild = [ell * ell] if ell * ell <= fmax else []  # (ell-1) * h overflows int64 for huge ell
+    for q in chain((p for p in primes_up_to(fmax) if p % ell == 1), wild):
+        h[q::q] = (ell - 1) * h[1 : fmax // q + 1]
+    conductors = np.flatnonzero(h[2:]) + 2
+    return dict(zip(conductors.tolist(), (h[conductors] // (ell - 1)).tolist()))
 
 
 def count_cyclic_ell(ell: int, x: int) -> int:
@@ -132,11 +108,8 @@ def count_cyclic_ell(ell: int, x: int) -> int:
 
 def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
     """Tally of cyclic degree-ell discriminants up to xmax."""
-    fmax = introot(max(xmax, 1), ell - 1)
-    entries = cyclic_conductors(ell, fmax)
-    return DiscriminantTally.from_pairs(
-        f"C{ell}", ((e.disc, e.multiplicity) for e in entries if e.disc <= xmax)
-    )
+    conductors = cyclic_conductors(ell, introot(max(xmax, 1), ell - 1))
+    return DiscriminantTally(f"C{ell}", ((f ** (ell - 1), m) for f, m in conductors.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +196,6 @@ class DiscriminantTally:
         self.label = label
         self._discs = [d for d, _ in entries]
         self._cumulative = list(accumulate(m for _, m in entries))
-
-    @classmethod
-    def from_pairs(cls, label: str, pairs: Iterable[tuple[int, int]]) -> "DiscriminantTally":
-        """Build a tally, merging multiplicities of repeated discriminants."""
-        merged: dict[int, int] = {}
-        for d, m in pairs:
-            merged[d] = merged.get(d, 0) + m
-        return cls(label, sorted(merged.items()))
 
     @classmethod
     def _from_sorted(cls, label: str, discs: list[int]) -> "DiscriminantTally":

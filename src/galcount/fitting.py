@@ -45,8 +45,11 @@ def geometric_grid(x_min: int, x_max: int, points: int) -> list[int]:
         raise ValueError("need 1 <= x_min < x_max")
     if points < 2:
         raise ValueError("need at least 2 points")
-    ratio = (x_max / x_min) ** (1.0 / (points - 1))
-    values = [int(round(x_min * ratio**i)) for i in range(points)]
+    try:
+        ratio = (x_max / x_min) ** (1.0 / (points - 1))
+        values = [int(round(x_min * ratio**i)) for i in range(points)]
+    except OverflowError:
+        raise ValueError("grid values must lie in the float range, below about 1.8e308") from None
     values[0], values[-1] = x_min, x_max
     out = []
     for v in values:

@@ -160,7 +160,7 @@ def not_utf8(path: str, error: type[Exception]) -> Exception:
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return parse_group_file(handle.read(), cap)
     except OSError as exc:
         raise GroupSpecError(f"cannot read group file {path!r}: {exc}") from None

@@ -10,18 +10,6 @@ from typing import Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SieveTable:
-    """Indicator flags over 1..limit; index 0 is unused and False."""
-
-    kind: str
-    limit: int
-    flags: np.ndarray
-
-    def count(self) -> int:
-        return int(self.flags[1:].sum())
-
-
 def primes_up_to(limit: int) -> list[int]:
     """All primes p <= limit, ascending, by the sieve of Eratosthenes."""
     if limit < 2:
@@ -84,15 +72,16 @@ def mobius(limit: int) -> list[int]:
     return mu.tolist()
 
 
-def squarefree_sieve(limit: int) -> SieveTable:
-    """Flags n <= limit with no square divisor, by striking d^2 multiples."""
+def squarefree_sieve(limit: int) -> np.ndarray:
+    """Bool flags over 0..limit, True at the n >= 1 with no square divisor, by
+    striking d^2 multiples."""
     if limit < 1:
         raise ValueError("limit must be positive")
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
     for d in range(2, math.isqrt(limit) + 1):
         flags[d * d :: d * d] = False
-    return SieveTable("squarefree", limit, flags)
+    return flags
 
 
 def introot(x: int, k: int) -> int:
@@ -105,6 +94,8 @@ def introot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
+    if k >= x.bit_length():  # 2**k > x, and 2**k itself may not fit in memory
+        return 1
     r = int(round(x ** (1.0 / k)))
     while r > 0 and r**k > x:
         r -= 1
@@ -148,7 +139,7 @@ def powerful_count(k: int, x: int) -> int:
         return 0
     if k == 1:
         return x
-    squarefree = squarefree_sieve(max(introot(x, k + 1), 1)).flags
+    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
     return sum(introot(x // prod, k) for prod in _powerful_parts(k, x, squarefree))
 
 
@@ -160,7 +151,7 @@ def powerful_numbers(k: int, x: int) -> list[int]:
         return []
     if k == 1:
         return list(range(1, x + 1))
-    squarefree = squarefree_sieve(max(introot(x, k + 1), 1)).flags
+    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
     out = []
     for prod in _powerful_parts(k, x, squarefree):
         b = 1
@@ -169,15 +160,6 @@ def powerful_numbers(k: int, x: int) -> list[int]:
             b += 1
     out.sort()
     return out
-
-
-def powerful_sieve(k: int, limit: int) -> SieveTable:
-    """Indicator table of the k-powerful integers up to limit."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[powerful_numbers(k, limit)] = True
-    return SieveTable(f"{k}-powerful", limit, flags)
 
 
 def divisor_counts(limit: int) -> np.ndarray:

@@ -7,8 +7,9 @@ of the image-array engine, coset actions and the domination check from ``Perm``
 sets and dicts with each side enumerated on its own instead of one diagonal
 image array, squarefree/powerful tests from smallest-prime-factor
 factorization instead of square striking, cyclic-field multiplicities from counting
-characters (solutions of x^ell = 1 plus Moebius over the divisor lattice)
-instead of the conductor formula, biquadratic triples from a
+characters (solutions of x^ell = 1 plus Moebius over the divisor lattice), or
+from a recursive walk over products of split primes, instead of the
+multiplicative conductor table, biquadratic triples from a
 perfect-square test on products of three discriminants, divisor counts from
 one slice update per d <= limit instead of divisor pairs, and census tallies
 from one record object per line merged through a dict instead of sorted runs.
@@ -273,6 +274,30 @@ def cyclic_conductor_table_slow(ell: int, fmax: int) -> dict[int, int]:
     return table
 
 
+def cyclic_conductors_slow(ell: int, fmax: int) -> dict[int, int]:
+    """{f: multiplicity} for the admissible conductors 2 <= f <= fmax, ascending, by a
+    depth-first walk over products of distinct primes = 1 (mod ell), each product
+    also taken times ell^2; t factors (ell^2 counting as one) give (ell-1)**(t-1)."""
+    spf = spf_table(fmax)
+    split_primes = [p for p in range(2, fmax + 1) if spf[p] == p and p % ell == 1]
+    wild = ell * ell
+    table: dict[int, int] = {}
+
+    def extend(start: int, f: int, t: int) -> None:
+        if t >= 1:
+            table[f] = (ell - 1) ** (t - 1)
+        if f * wild <= fmax:
+            table[f * wild] = (ell - 1) ** t
+        for i in range(start, len(split_primes)):
+            nf = f * split_primes[i]
+            if nf > fmax:
+                break
+            extend(i + 1, nf, t + 1)
+
+    extend(0, 1, 0)
+    return dict(sorted(table.items()))
+
+
 # ---------------------------------------------------------------------------
 # biquadratic fields from perfect-square triples
 
@@ -375,9 +400,8 @@ def ingest_census_slow(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, D
 
     Repeated (label, abs_disc) records accumulate multiplicity.
     """
-    grouped: dict[str, list[tuple[int, int]]] = {}
+    grouped: dict[str, dict[int, int]] = {}
     for record in read_census_records_slow(stream):
-        grouped.setdefault(record.group_label, []).append((record.abs_disc, 1))
-    return {
-        label: DiscriminantTally.from_pairs(label, pairs) for label, pairs in grouped.items()
-    }
+        merged = grouped.setdefault(record.group_label, {})
+        merged[record.abs_disc] = merged.get(record.abs_disc, 0) + 1
+    return {label: DiscriminantTally(label, sorted(merged.items())) for label, merged in grouped.items()}

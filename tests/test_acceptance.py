@@ -167,8 +167,7 @@ def test_criterion_5_counting_oracles():
 
         fmax = math.isqrt(10**5)
         expected = cyclic_conductor_table_slow(3, fmax)
-        got = {e.f: e.multiplicity for e in fields.cyclic_conductors(3, fmax)}
-        assert got == expected
+        assert fields.cyclic_conductors(3, fmax) == expected
 
         assert fields.biquadratic_discs(10**5) == biquadratic_discs_slow(10**5)
 

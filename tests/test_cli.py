@@ -158,6 +158,58 @@ def test_compare_reps_file_not_utf8_exit_2(tmp_path, capsys):
     assert code == 2 and err == "error: line 4: not valid UTF-8\n"
 
 
+def test_group_file_with_byte_order_mark(tmp_path, capsys):
+    # spreadsheet exports start with U+FEFF; each file reader skips it
+    path = tmp_path / "group.grp"
+    path.write_bytes(b"\xef\xbb\xbfdegree=3\ngen=(1 2 3)\n")
+    code, out, _ = run_cli(capsys, "aval", "--file", str(path))
+    assert code == 0 and "order: 3" in out
+
+
+def test_paired_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "pair.grp"
+    path.write_bytes(b"\xef\xbb\xbfdegree=4\ngen=(1 2 3 4)\n---\ndegree=4\ngen=(1 2 3 4)\n")
+    code, out, _ = run_cli(capsys, "compare-reps", "--file", str(path))
+    assert code == 0 and out == "HOLDS\n"
+
+
+def test_census_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "census.csv"
+    path.write_bytes(b"\xef\xbb\xbfdegree,group,abs_disc\n3,S3,23\n")
+    code, out, _ = run_cli(capsys, "count", "census", "--label", "S3", "--file", str(path), "--grid", "1:23:2")
+    assert code == 0 and out == "x,count\n1,0\n23,1\n"
+
+
+def test_samples_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"\xef\xbb\xbfx,count\n100,10\n1000,31\n10000,100\n")
+    code, out, _ = run_cli(capsys, "fit", "--samples", str(path))
+    assert code == 0 and "samples: 3 used, 0 dropped" in out
+
+
+def test_grid_beyond_float_range_exit_2(capsys):
+    for argv in (
+        ["count", "cyclic", "--ell", "79"],  # default grid up to 10000**78
+        ["fit", "--family", "cyclic", "--ell", "1009"],
+        ["count", "quadratic", "--grid", f"1000:{10**400}:3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "float range" in err, argv
+
+
+def test_fit_sample_beyond_float_range_exit_6(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"x,count\n10,3\n20,5\n{10**400},7\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "fit", "--samples", str(path))
+    assert code == 6 and err == "error: line 4: sample beyond the float range\n"
+
+
+def test_count_cyclic_ell_above_64_bits(capsys):
+    # (ell - 1)-th roots are 1 without computing 2**(ell - 1); no split prime is that small
+    code, out, _ = run_cli(capsys, "count", "cyclic", "--ell", "18446744073709551629", "--grid", "1000:100000:3")
+    assert code == 0 and out == "x,count\n1000,0\n10000,0\n100000,0\n"
+
+
 def test_fit_synthetic_file(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     rows = ["x,count"] + [f"{x},{int(5 * x**0.5)}" for x in (10**4, 10**5, 10**6, 10**7, 10**8)]

@@ -18,11 +18,12 @@ from galcount.fields import (
     quadratic_samples,
     tally_samples,
 )
-from galcount.sieves import powerful_numbers
+from galcount.sieves import introot, powerful_numbers
 
 from oracles import (
     biquadratic_discs_slow,
     cyclic_conductor_table_slow,
+    cyclic_conductors_slow,
     fundamental_discriminants_slow,
 )
 
@@ -63,25 +64,39 @@ def test_quadratic_samples_monotone():
 
 
 def test_cyclic_conductors_small():
-    entries = cyclic_conductors(3, 13)
-    assert [(e.f, e.multiplicity) for e in entries] == [(7, 1), (9, 1), (13, 1)]
-    assert [e.disc for e in entries] == [49, 81, 169]
-    assert cyclic_conductors(3, 6) == []
-    sixty_three = [e for e in cyclic_conductors(3, 63) if e.f == 63]
-    assert len(sixty_three) == 1 and sixty_three[0].multiplicity == 2 and sixty_three[0].t == 2
+    assert cyclic_conductors(3, 13) == {7: 1, 9: 1, 13: 1}
+    assert cyclic_conductors(3, 6) == {}
+    assert cyclic_conductors(3, 1) == {}
+    assert cyclic_conductors(3, 63)[63] == 2  # 63 = 9 * 7: t = 2 ramified places
+    assert cyclic_conductors(2_147_483_647, 10**5) == {}
 
 
 def test_cyclic_conductors_against_character_oracle():
     for ell, fmax in [(3, 400), (5, 1500), (7, 2500)]:
-        expected = cyclic_conductor_table_slow(ell, fmax)
-        got = {e.f: e.multiplicity for e in cyclic_conductors(ell, fmax)}
-        assert got == expected
+        assert cyclic_conductors(ell, fmax) == cyclic_conductor_table_slow(ell, fmax)
+
+
+def test_cyclic_conductors_against_recursive_walk():
+    for ell in (3, 5, 7, 11, 13):
+        fmaxes = [*range(301), ell**2 - 1, ell**2 + 1, ell**3 - 1, ell**3 + 1]
+        for fmax in fmaxes:
+            got = cyclic_conductors(ell, fmax)
+            assert got == cyclic_conductors_slow(ell, fmax)
+            assert list(got) == sorted(got)
+    assert cyclic_conductors(3, 10**5) == cyclic_conductors_slow(3, 10**5)
+
+
+def test_cyclic_tally_against_recursive_walk():
+    for ell, xmax in [(3, 10**12), (5, 10**16)]:
+        conductors = cyclic_conductors_slow(ell, introot(xmax, ell - 1))
+        expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
+        assert cyclic_tally(ell, xmax).entries == expected
 
 
 def test_cyclic_conductor_shape():
-    for e in cyclic_conductors(3, 1000):
-        assert e.multiplicity == 2 ** (e.t - 1)
-        assert e.disc == e.f**2
+    for ell in (3, 5, 7):
+        powers = {(ell - 1) ** t for t in range(12)}  # (ell-1)**t < f <= 3000
+        assert set(cyclic_conductors(ell, 3000).values()) <= powers
 
 
 def test_count_cyclic_ell():
@@ -155,12 +170,6 @@ def test_tally_basics():
         DiscriminantTally("bad", [(81, 1), (49, 1)])
     with pytest.raises(ValueError):
         DiscriminantTally("bad", [(0, 1)])
-
-
-def test_tally_from_pairs_merges():
-    tally = DiscriminantTally.from_pairs("demo", [(49, 1), (49, 2), (81, 1)])
-    assert tally.entries == ((49, 3), (81, 1))
-    assert tally.total() == 4
 
 
 def test_read_census_records():
