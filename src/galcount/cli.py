@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 from . import constructions, fields, fitting, sieves, tables
@@ -18,8 +19,7 @@ from .constructions import InconsistentDualRep, check_index_domination, dual_reg
 from .fields import CensusFormatError
 from .fitting import InsufficientSamplesError
 from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
-from .groupspec import GroupSpecError, load_group_file, not_utf8, parse_group_expr, parse_paired_file
-from .perms import CycleParseError
+from .groupspec import GroupSpecError, load_group_file, open_text, parse_group_expr, parse_paired_file
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -37,20 +37,22 @@ class _Intransitive(Exception):
     pass
 
 
+def _grid_value(text: str) -> int:
+    """An integer, written plainly or in scientific notation that names it exactly."""
+    try:
+        value = Decimal(text)  # exact, and unlike Fraction never expands the power of 1e999999999
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() > 308:
+        raise GroupSpecError(f"grid values must be integers in the float range, got {text!r}")
+    return int(value)
+
+
 def _parse_grid(spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise GroupSpecError(f"grid must be lo:hi:points, got {spec!r}")
-    try:
-        values = []
-        for p in parts:
-            try:
-                values.append(int(p))
-            except ValueError:
-                values.append(int(float(p)))
-        lo, hi, points = values
-    except (ValueError, OverflowError):
-        raise GroupSpecError(f"grid must be numeric, got {spec!r}") from None
+    lo, hi, points = map(_grid_value, parts)
     return fitting.geometric_grid(lo, hi, points)
 
 
@@ -130,11 +132,8 @@ def _family_samples(args) -> list[tuple[int, int]]:
     if args.family == "census":
         if not args.label or not args.file:
             raise GroupSpecError("census counts need --label and --file")
-        try:
-            with open(args.file, encoding="utf-8-sig") as handle:
-                tallies = fields.ingest_census(handle)
-        except UnicodeDecodeError:
-            raise not_utf8(args.file, CensusFormatError) from None
+        with open_text(args.file, CensusFormatError) as handle:
+            tallies = fields.ingest_census(handle)
         if args.label not in tallies:
             raise CensusFormatError(f"label {args.label!r} not present in census")
         tally = tallies[args.label]
@@ -156,13 +155,8 @@ def _cmd_count(args) -> int:
 
 
 def _read_samples(path: str) -> list[tuple[int, int]]:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
-    except OSError as exc:
-        raise InsufficientSamplesError(f"cannot read samples: {exc}") from None
-    except UnicodeDecodeError:
-        raise not_utf8(path, InsufficientSamplesError) from None
+    with open_text(path, InsufficientSamplesError) as handle:
+        lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
     if lines and lines[0][1] == "x,count":
         lines = lines[1:]
     samples = []
@@ -224,12 +218,8 @@ def _cmd_compare_reps(args) -> int:
         )
         dual = dual_regular_pair(product)
     else:
-        try:
-            with open(args.file, encoding="utf-8-sig") as handle:
-                text = handle.read()
-        except UnicodeDecodeError:
-            raise not_utf8(args.file, GroupSpecError) from None
-        dual = parse_paired_file(text, args.cap)
+        with open_text(args.file, GroupSpecError) as handle:
+            dual = parse_paired_file(handle, args.cap)
     report = check_index_domination(dual, args.cap)
     if report.holds:
         print("HOLDS")
@@ -294,13 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 # First match wins, so the ValueError subclasses precede ValueError.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
     (_Intransitive, EXIT_INTRANSITIVE),
-    (GroupSpecError, EXIT_BAD_INPUT),
-    (CycleParseError, EXIT_BAD_INPUT),
     (EnumerationCapError, EXIT_CAP),
     (CensusFormatError, EXIT_CENSUS),
     (InsufficientSamplesError, EXIT_SAMPLES),
     (InconsistentDualRep, EXIT_INCONSISTENT),
     (OSError, EXIT_BAD_INPUT),
+    (MemoryError, EXIT_BAD_INPUT),
     (ValueError, EXIT_BAD_INPUT),
 )
 
@@ -311,9 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, OSError) and args.command in ("count", "fit"):
-            return EXIT_CENSUS  # count and fit read census files
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError has no text
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

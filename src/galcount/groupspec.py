@@ -1,4 +1,5 @@
-"""Text grammar for naming permutation groups, plus the group-file formats.
+"""Text grammar for naming permutation groups, the group-file formats, and
+``open_text``, the reader of every input file.
 
 Expression grammar (whitespace-insensitive):
 
@@ -14,7 +15,8 @@ separated by a ``---`` line, with the i-th generators aligned.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 
 from . import constructions
 from .constructions import DualRep
@@ -134,7 +136,7 @@ class _Parser:
             action, _ = constructions.coset_action(parent, subgroup_gens, self.cap)
             return action
         if name == "sl":
-            self.take("num")  # the literal 2 of sl2
+            self.take("num", "2")
             self.take("punct", "(")
             p = self.parse_int()
             self.take("punct", ")")
@@ -143,29 +145,35 @@ class _Parser:
             except ValueError as exc:
                 raise GroupSpecError(str(exc)) from None
         if name == "heis":
-            self.take("num")  # the literal 3 of heis3
+            self.take("num", "3")
             self.take("punct", "(")
             self.take("punct", ")")
             return constructions.heisenberg_mod3(self.cap)
         raise GroupSpecError(f"unknown construction {name!r}")
 
 
-def not_utf8(path: str, error: type[Exception]) -> Exception:
-    """``error`` naming the file's first line that is not UTF-8.  Under surrogateescape each
-    undecodable byte reads as a lone surrogate, which valid UTF-8 never decodes to."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
-        return error(f"line {next(bad, '?')}: not valid UTF-8")
+@contextmanager
+def open_text(path: str, error: Callable[[str], Exception]) -> Iterator[TextIO]:
+    """Open the UTF-8 file at ``path`` for a ``with`` block, skipping a leading byte-order
+    mark; its lines are what iterating the handle gives.  A file that cannot be read
+    raises ``error("cannot read 'PATH': reason")``, and a byte that is not UTF-8, met
+    while the block reads, raises ``error("line N: not valid UTF-8")``."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            yield handle
+    except OSError as exc:
+        raise error(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        # under surrogateescape each undecodable byte reads as a lone surrogate,
+        # which valid UTF-8 never decodes to
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
+            raise error(f"line {next(bad, '?')}: not valid UTF-8") from None
 
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return parse_group_file(handle.read(), cap)
-    except OSError as exc:
-        raise GroupSpecError(f"cannot read group file {path!r}: {exc}") from None
-    except UnicodeDecodeError:
-        raise not_utf8(path, GroupSpecError) from None
+    with open_text(path, GroupSpecError) as handle:
+        return parse_group_file(handle, cap)
 
 
 def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -202,21 +210,23 @@ def _parse_block(lines: list[tuple[int, str]], cap: int) -> PermGroup:
     return PermGroup(degree, gens, cap)
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
+def _content_lines(text: Union[str, Iterable[str]]) -> list[tuple[int, str]]:
+    """(line number, content) for each line that is not blank once its ``#`` comment is
+    cut; a ``str`` is split by ``splitlines()``, anything else gives one line per item."""
     out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((number, line))
     return out
 
 
-def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
+def parse_group_file(text: Union[str, Iterable[str]], cap: int = DEFAULT_CAP) -> PermGroup:
     """Parse a single group block (degree= line plus gen= lines)."""
     return _parse_block(_content_lines(text), cap)
 
 
-def parse_paired_file(text: str, cap: int = DEFAULT_CAP) -> DualRep:
+def parse_paired_file(text: Union[str, Iterable[str]], cap: int = DEFAULT_CAP) -> DualRep:
     """Parse two aligned group blocks separated by a --- line."""
     lines = _content_lines(text)
     split_at = [i for i, (_, line) in enumerate(lines) if line == "---"]

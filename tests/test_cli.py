@@ -1,4 +1,5 @@
-from galcount.cli import main
+from galcount import fields
+from galcount.cli import _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -38,8 +39,10 @@ def test_aval_intransitive_exit_4(tmp_path, capsys):
 
 
 def test_aval_parse_error_exit_2(capsys):
-    code, _, err = run_cli(capsys, "aval", "natural(Q 3)")
-    assert code == 2 and err
+    # the digits of sl2 and heis3 are part of the name, not an argument
+    for expr in ("natural(Q 3)", "sl7(5)", "heis9()"):
+        code, out, err = run_cli(capsys, "aval", expr)
+        assert (code, out) == (2, "") and err, expr
 
 
 def test_aval_cap_exceeded_exit_3(capsys):
@@ -147,8 +150,8 @@ def test_count_census_not_utf8_exit_5(tmp_path, capsys):
 def test_aval_file_not_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "group.grp"
     path.write_bytes(b"degree=3\ngen=(1 2 3)\n# caf\xe9\n")
-    code, _, err = run_cli(capsys, "aval", "--file", str(path))
-    assert code == 2 and err == "error: line 3: not valid UTF-8\n"
+    for argv in (["aval", "--file", str(path)], ["aval", f"file({path})"]):
+        assert run_cli(capsys, *argv) == (2, "", "error: line 3: not valid UTF-8\n"), argv
 
 
 def test_compare_reps_file_not_utf8_exit_2(tmp_path, capsys):
@@ -159,18 +162,36 @@ def test_compare_reps_file_not_utf8_exit_2(tmp_path, capsys):
 
 
 def test_group_file_with_byte_order_mark(tmp_path, capsys):
-    # spreadsheet exports start with U+FEFF; each file reader skips it
+    # spreadsheet exports start with U+FEFF; each file reader skips it.  A form feed
+    # ends no line of a file the CLI reads, so it stays inside its comment
     path = tmp_path / "group.grp"
-    path.write_bytes(b"\xef\xbb\xbfdegree=3\ngen=(1 2 3)\n")
-    code, out, _ = run_cli(capsys, "aval", "--file", str(path))
-    assert code == 0 and "order: 3" in out
+    for text in (b"\xef\xbb\xbfdegree=3\ngen=(1 2 3)\n", b"degree=3\n# page\x0cbreak\ngen=(1 2 3)\n"):
+        path.write_bytes(text)
+        code, out, _ = run_cli(capsys, "aval", "--file", str(path))
+        assert code == 0 and "order: 3" in out, text
 
 
 def test_paired_file_with_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "pair.grp"
-    path.write_bytes(b"\xef\xbb\xbfdegree=4\ngen=(1 2 3 4)\n---\ndegree=4\ngen=(1 2 3 4)\n")
-    code, out, _ = run_cli(capsys, "compare-reps", "--file", str(path))
-    assert code == 0 and out == "HOLDS\n"
+    block = b"degree=4\ngen=(1 2 3 4)\n"
+    for text in (b"\xef\xbb\xbf" + block + b"---\n" + block, block + b"--- # \x0cend\n" + block):
+        path.write_bytes(text)
+        code, out, _ = run_cli(capsys, "compare-reps", "--file", str(path))
+        assert code == 0 and out == "HOLDS\n", text
+
+
+def test_missing_file_one_message(tmp_path, capsys):
+    path = str(tmp_path / "absent.txt")
+    for argv, code in (
+        (["count", "census", "--label", "S3", "--file", path], 5),
+        (["fit", "--family", "census", "--label", "S3", "--file", path], 5),
+        (["fit", "--samples", path], 6),
+        (["aval", "--file", path], 2),
+        (["aval", f"file({path})"], 2),
+        (["compare-reps", "--file", path], 2),
+    ):
+        want = (code, "", f"error: cannot read {path!r}: No such file or directory\n")
+        assert run_cli(capsys, *argv) == want, argv
 
 
 def test_census_with_byte_order_mark(tmp_path, capsys):
@@ -195,6 +216,27 @@ def test_grid_beyond_float_range_exit_2(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and "float range" in err, argv
+
+
+def test_grid_values_read_exactly(capsys):
+    assert _parse_grid("1:1e23:2") == [1, 10**23]
+    assert _parse_grid("2.5e3:1_000_0:2") == [2500, 10000]
+    # the exponent is never expanded, so a huge one is refused at once
+    for spec in ("1:1.9:2", "1:nan:2", "1:1e999999999:2", "1e-999999999:10:2", "1:x:2"):
+        code, out, err = run_cli(capsys, "count", "quadratic", "--grid", spec)
+        assert (code, out) == (2, "") and "must be integers in the float range" in err, spec
+
+
+def test_allocation_failure_exit_2(capsys, monkeypatch):
+    # the conductor table up to 1e15 would take 7 PiB
+    code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "3", "--grid", "1000:1e30:3")
+    assert (code, out) == (2, "") and err.startswith("error: Unable to allocate")
+
+    def bare_memory_error(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(fields, "quadratic_samples", bare_memory_error)
+    assert run_cli(capsys, "count", "quadratic") == (2, "", "error: out of memory\n")
 
 
 def test_fit_sample_beyond_float_range_exit_6(tmp_path, capsys):

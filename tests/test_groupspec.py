@@ -68,6 +68,7 @@ def test_group_file(tmp_path):
     text = "# order-16 dihedral on 8 points\ndegree=8\ngen=(1 2 3 4 5 6 7 8)\ngen=(2 8)(3 7)(4 6)\n"
     g = parse_group_file(text)
     assert g.degree == 8 and g.order() == 16
+    assert parse_group_file(text.splitlines(keepends=True)).order() == 16  # lines as a file gives them
     path = tmp_path / "d8.grp"
     path.write_text(text, encoding="utf-8")
     h = parse_group_expr(f"file({path})")
