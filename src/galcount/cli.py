@@ -10,6 +10,7 @@ paired representation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
@@ -81,28 +82,33 @@ def _cmd_aval(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    # the CSV is opened first, so a path that cannot be written fails before any row prints
+    try:
+        csv = open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
+    except OSError as exc:
+        raise OSError(f"cannot write {args.csv!r}: {exc.strerror or exc}") from None
     rows = tables.TABLES[args.which]
     lines = []
     any_fail = False
-    for row in rows:
-        if row.expression is None:
-            computed, status = "-", "SKIPPED(external)"
-        else:
-            group = parse_group_expr(row.expression, args.cap)
-            a = group.a_invariant()
-            computed = str(a)
-            status = "PASS" if a == row.expected_a else "FAIL"
-            any_fail = any_fail or status == "FAIL"
-        lines.append((row.row_id, row.name, str(row.order), str(row.expected_a), computed, status))
-    header = ("row", "group", "order", "expected", "computed", "status")
-    widths = [max(len(line[i]) for line in [header, *lines]) for i in range(6)]
-    for line in [header, *lines]:
-        print("  ".join(field.ljust(width) for field, width in zip(line, widths)).rstrip())
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("row_id,group,order,expected,computed,status\n")
+    with csv:
+        for row in rows:
+            if row.expression is None:
+                computed, status = "-", "SKIPPED(external)"
+            else:
+                group = parse_group_expr(row.expression, args.cap)
+                a = group.a_invariant()
+                computed = str(a)
+                status = "PASS" if a == row.expected_a else "FAIL"
+                any_fail = any_fail or status == "FAIL"
+            lines.append((row.row_id, row.name, str(row.order), str(row.expected_a), computed, status))
+        header = ("row", "group", "order", "expected", "computed", "status")
+        widths = [max(len(line[i]) for line in [header, *lines]) for i in range(6)]
+        for line in [header, *lines]:
+            print("  ".join(field.ljust(width) for field, width in zip(line, widths)).rstrip())
+        if args.csv:
+            csv.write("row_id,group,order,expected,computed,status\n")
             for line in lines:
-                handle.write(",".join(line) + "\n")
+                csv.write(",".join(line) + "\n")
     return EXIT_TABLE_FAIL if any_fail else EXIT_OK
 
 
@@ -219,7 +225,7 @@ def _cmd_compare_reps(args) -> int:
         dual = dual_regular_pair(product)
     else:
         with open_text(args.file, GroupSpecError) as handle:
-            dual = parse_paired_file(handle, args.cap)
+            dual = parse_paired_file(handle)
     report = check_index_domination(dual, args.cap)
     if report.holds:
         print("HOLDS")

@@ -65,67 +65,60 @@ def dihedral_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return PermGroup(n, [rotation, reflection], cap)
 
 
-def coset_action(
-    group: PermGroup, subgroup_gens: Sequence[Perm], cap: Optional[int] = None
-) -> tuple[PermGroup, bool]:
+def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermGroup, bool]:
     """Action of the group on the left cosets of the subgroup the given elements generate.
 
     Cosets are labelled by first occurrence in the group's element enumeration,
     so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
     Returns the degree-[G:H] group and whether the action is faithful.
     """
-    cap = group.cap if cap is None else cap
-    subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], cap)
-    images = group.image_array()
-    position = {key: i for i, key in enumerate(row_keys(images))}
-    rows = lambda perms: np.array([p.images for p in perms], dtype=images.dtype)  # noqa: E731
-    for s, key in zip(subgroup.generators, row_keys(rows(subgroup.generators))):
-        if key not in position:
+    subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], group.cap)
+    for s, k in zip(subgroup.generators, group.index([s.images for s in subgroup.generators])):
+        if k < 0:
             raise ValueError(f"subgroup generator {s} is not in the group")
-    h = subgroup.image_array()
+    images, h = group.image_array(), subgroup.image_array()
     # Row t of x[h] is x * h_t, since (x * h)(i) = x(h(i)); likewise g[x] is g * x.
     label = np.full(len(images), -1)
     reps = []
     for k in range(len(images)):
         if label[k] < 0:
-            label[[position[key] for key in row_keys(images[k][h])]] = len(reps)
+            label[group.index(images[k][h])] = len(reps)
             reps.append(k)
-    translates = [[position[key] for key in row_keys(g[images[reps]])] for g in rows(group.generators)]
-    action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], cap)
+    translates = [group.index(np.asarray(g.images)[images[reps]]) for g in group.generators]
+    action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
     faithful = action.order() == len(images)
     return action, faithful
 
 
-def regular_rep(group: PermGroup, cap: Optional[int] = None) -> PermGroup:
+def regular_rep(group: PermGroup) -> PermGroup:
     """Left-translation action of the group on its own enumerated element list."""
-    action, faithful = coset_action(group, [group.identity()], cap)
+    action, faithful = coset_action(group, [group.identity()])
     assert faithful
     return action
 
 
-def direct_product(h: PermGroup, z: PermGroup, cap: Optional[int] = None) -> PermGroup:
+def direct_product(h: PermGroup, z: PermGroup) -> PermGroup:
     """Product action on the (i, j) grid, flattened as i * deg(z) + j.
 
     Generators are h's (acting on i) followed by z's (acting on j).
     """
-    cap = max(h.cap, z.cap) if cap is None else cap
     n, m = h.degree, z.degree
     gens = []
     for g in h.generators:
         gens.append(Perm(g(i) * m + j for i in range(n) for j in range(m)))
     for g in z.generators:
         gens.append(Perm(i * m + g(j) for i in range(n) for j in range(m)))
-    return PermGroup(n * m, gens, cap)
+    return PermGroup(n * m, gens, max(h.cap, z.cap))
 
 
-def wreath(a: PermGroup, h: PermGroup, cap: Optional[int] = None) -> PermGroup:
+def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
     """Imprimitive wreath action on deg(a) * deg(h) points in deg(h) blocks.
 
     One copy of each a-generator acts in block 0; h-generators permute the
     blocks rigidly.  The result's order is verified to equal |a|^deg(h) * |h|
     by enumeration.
     """
-    cap = max(a.cap, h.cap) if cap is None else cap
+    cap = max(a.cap, h.cap)
     block, nblocks = a.degree, h.degree
     degree = block * nblocks
     gens = []
@@ -150,10 +143,14 @@ def sl2_natural(p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """SL2 over the p-element field acting on the p^2 - 1 nonzero column vectors.
 
     Generated by the two standard unipotent matrices; vectors are ordered
-    lexicographically so the output is reproducible.
+    lexicographically so the output is reproducible.  The action is faithful,
+    so an order p(p^2 - 1) over the cap is refused before any vector is built.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    order = p * (p * p - 1)
+    if order > cap:
+        raise EnumerationCapError(f"SL2({p}) order {order} exceeds cap {cap}")
     vectors = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
     position = {v: i for i, v in enumerate(vectors)}
 
@@ -233,9 +230,9 @@ class DominationReport:
     witness: Optional[DominationWitness]
 
 
-def dual_regular_pair(group: PermGroup, cap: Optional[int] = None) -> DualRep:
+def dual_regular_pair(group: PermGroup) -> DualRep:
     """Pair a group's regular representation (first) with the group itself (second)."""
-    reg = regular_rep(group, cap)
+    reg = regular_rep(group)
     return DualRep(tuple(reg.generators), tuple(group.generators))
 
 
@@ -264,22 +261,5 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
     if failing.size == 0:
         return DominationReport(holds=True, witness=None)
     k = int(failing[0])
-    word = _bfs_word(diagonal, k)
-    return DominationReport(holds=False, witness=DominationWitness(word, int(ind1[k]), int(ind2[k]), a1, a2))
+    return DominationReport(holds=False, witness=DominationWitness(diagonal.word(k), int(ind1[k]), int(ind2[k]), a1, a2))
 
-
-def _bfs_word(group: PermGroup, k: int) -> tuple[int, ...]:
-    """Generator indices leading to the k-th element along the BFS tree.
-
-    An element's parent is the in-neighbour x * g_j^-1 with the smallest
-    (position, j): the element whose j-th successor first reached it.
-    """
-    images = group.image_array()
-    position = {key: i for i, key in enumerate(row_keys(images))}
-    # argsort inverts each generator's image row, and x[inverse] is x * g_j^-1
-    inverses = np.argsort([g.images for g in group.generators], axis=1)
-    word = []
-    while k:
-        k, j = min((position[key], j) for j, key in enumerate(row_keys(images[k][inverses])))
-        word.append(j)
-    return tuple(reversed(word))

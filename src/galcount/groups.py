@@ -81,6 +81,7 @@ class PermGroup:
         self.cap = cap
         self._images: Optional[np.ndarray] = None
         self._inds: Optional[np.ndarray] = None
+        self._positions: Optional[dict[bytes, int]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
         self._lock = threading.RLock()
 
@@ -129,6 +130,27 @@ class PermGroup:
         images = np.concatenate(levels)
         images.flags.writeable = False
         return images
+
+    def index(self, rows) -> np.ndarray:
+        """Enumeration position of each row of a (k, degree) image array; -1 for a row outside the group."""
+        positions = self._cached("_positions", lambda: {key: i for i, key in enumerate(row_keys(self.image_array()))})
+        rows = np.asarray(rows, dtype=self.image_array().dtype)
+        return np.array([positions.get(key, -1) for key in row_keys(rows)], dtype=np.intp)
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """Generator indices, applied left to right from the identity, that reach the k-th element.
+
+        The word follows the BFS tree: an element's parent is the in-neighbour x * g_j^-1 with
+        the smallest (position, j), the element whose j-th successor first reached it.
+        """
+        images = self.image_array()
+        # argsort inverts each generator's image row, and x[inverse] is x * g_j^-1
+        inverses = np.argsort([g.images for g in self.generators], axis=1)
+        word = []
+        while k:
+            k, j = min((int(position), j) for j, position in enumerate(self.index(images[k][inverses])))
+            word.append(j)
+        return tuple(reversed(word))
 
     def order(self) -> int:
         return len(self.image_array())

@@ -114,7 +114,7 @@ class _Parser:
             self.take("punct", "(")
             inner = self.parse_expr()
             self.take("punct", ")")
-            return constructions.regular_rep(inner, self.cap)
+            return constructions.regular_rep(inner)
         if name in ("wreath", "product"):
             self.take("punct", "(")
             first = self.parse_expr()
@@ -122,7 +122,7 @@ class _Parser:
             second = self.parse_expr()
             self.take("punct", ")")
             build = constructions.wreath if name == "wreath" else constructions.direct_product
-            return build(first, second, self.cap)
+            return build(first, second)
         if name == "cosets":
             self.take("punct", "(")
             parent = self.parse_expr()
@@ -133,7 +133,7 @@ class _Parser:
                 subgroup_gens = parse_cycle_list(gens_text, parent.degree)
             except ValueError as exc:
                 raise GroupSpecError(f"bad subgroup generators: {exc}") from None
-            action, _ = constructions.coset_action(parent, subgroup_gens, self.cap)
+            action, _ = constructions.coset_action(parent, subgroup_gens)
             return action
         if name == "sl":
             self.take("num", "2")
@@ -185,7 +185,7 @@ def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
     return group
 
 
-def _parse_block(lines: list[tuple[int, str]], cap: int) -> PermGroup:
+def _parse_block(lines: list[tuple[int, str]], cap: int = DEFAULT_CAP) -> PermGroup:
     degree = None
     gens = []
     for number, line in lines:
@@ -226,12 +226,12 @@ def parse_group_file(text: Union[str, Iterable[str]], cap: int = DEFAULT_CAP) ->
     return _parse_block(_content_lines(text), cap)
 
 
-def parse_paired_file(text: Union[str, Iterable[str]], cap: int = DEFAULT_CAP) -> DualRep:
+def parse_paired_file(text: Union[str, Iterable[str]]) -> DualRep:
     """Parse two aligned group blocks separated by a --- line."""
     lines = _content_lines(text)
     split_at = [i for i, (_, line) in enumerate(lines) if line == "---"]
     if len(split_at) != 1:
         raise GroupSpecError("paired file must contain exactly one --- separator")
-    first = _parse_block(lines[: split_at[0]], cap)
-    second = _parse_block(lines[split_at[0] + 1 :], cap)
+    first = _parse_block(lines[: split_at[0]])
+    second = _parse_block(lines[split_at[0] + 1 :])
     return DualRep(tuple(first.generators), tuple(second.generators))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -86,16 +86,13 @@ def bfs_elements(degree: int, generators: list[Perm], cap: int) -> tuple[Perm, .
 # coset actions and index domination one ``Perm`` at a time
 
 
-def coset_action_slow(
-    group: PermGroup, subgroup_gens: Sequence[Perm], cap: Optional[int] = None
-) -> tuple[PermGroup, bool]:
+def coset_action_slow(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermGroup, bool]:
     """Action of the group on the left cosets of the subgroup the given elements generate.
 
     Cosets are labelled by first occurrence in the group's element enumeration,
     so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
     Returns the degree-[G:H] group and whether the action is faithful.
     """
-    cap = group.cap if cap is None else cap
     elements = group.elements()
     element_set = set(elements)
     subgroup_gens = list(subgroup_gens)
@@ -104,7 +101,7 @@ def coset_action_slow(
             raise ValueError(f"subgroup generator {s} is not in the group")
     if not subgroup_gens:
         subgroup_gens = [group.identity()]
-    subgroup = PermGroup(group.degree, subgroup_gens, cap).elements()
+    subgroup = PermGroup(group.degree, subgroup_gens, group.cap).elements()
 
     label: dict[Perm, int] = {}
     reps: list[Perm] = []
@@ -115,7 +112,7 @@ def coset_action_slow(
             reps.append(x)
 
     new_gens = [Perm(label[g * rep] for rep in reps) for g in group.generators]
-    action = PermGroup(len(reps), new_gens, cap)
+    action = PermGroup(len(reps), new_gens, group.cap)
     faithful = action.order() == len(elements)
     return action, faithful
 
@@ -147,11 +144,11 @@ def check_index_domination_slow(dual: DualRep, cap: int = DEFAULT_CAP) -> Domina
     if failing.size == 0:
         return DominationReport(holds=True, witness=None)
     k = int(failing[0])
-    word = _bfs_word(sides[0], pos1, k)
+    word = bfs_tree_word(sides[0], pos1, k)
     return DominationReport(holds=False, witness=DominationWitness(word, int(ind1[k]), int(ind2[k]), a1, a2))
 
 
-def _bfs_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:
+def bfs_tree_word(group: PermGroup, position: dict[Perm, int], k: int) -> tuple[int, ...]:
     """Generator indices leading to the k-th element along the BFS tree.
 
     An element's parent is the in-neighbour e * g_j^-1 with the smallest

@@ -76,6 +76,13 @@ def test_table_csv(tmp_path, capsys):
     assert lines[1].startswith("deg6/Nr4,A4(6),12,1/2,1/2,PASS")
 
 
+def test_table_csv_unwritable_path_fails_before_printing(tmp_path, capsys):
+    for target, reason in ((tmp_path / "missing" / "rows.csv", "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run_cli(capsys, "table", "deg6", "--csv", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(target)!r}: {reason}\n"
+
+
 def test_table_determinism(capsys):
     _, first, _ = run_cli(capsys, "table", "deg8")
     _, second, _ = run_cli(capsys, "table", "deg8")

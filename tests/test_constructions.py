@@ -241,7 +241,7 @@ def test_wreath_order_formula():
 
 def test_wreath_cap():
     with pytest.raises(EnumerationCapError):
-        wreath(cyclic_natural(2), symmetric_natural(4), cap=100)
+        wreath(cyclic_natural(2, cap=100), symmetric_natural(4, cap=100))
 
 
 def test_sl2_examples():
@@ -260,6 +260,16 @@ def test_sl2_examples():
         sl2_natural(4)
     with pytest.raises(ValueError):
         sl2_natural(1)
+
+
+def test_sl2_cap_refused_before_building():
+    # |SL2(101)| = 1,030,200: refused from the order alone, not after building
+    # 10,200-point generators and enumerating toward the cap
+    with pytest.raises(EnumerationCapError, match="SL2\\(101\\) order 1030200 exceeds cap 1000000"):
+        sl2_natural(101)
+    with pytest.raises(EnumerationCapError):
+        sl2_natural(7, cap=335)
+    assert sl2_natural(7, cap=336).order() == 336
 
 
 def test_heisenberg():

@@ -1,3 +1,5 @@
+import math
+import random
 import threading
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from galcount.constructions import (
 from galcount.groups import EnumerationCapError, PermGroup
 from galcount.perms import Perm, parse_cycles
 
-from oracles import bfs_elements, schreier_order
+from oracles import bfs_elements, bfs_tree_word, schreier_order
 
 
 def assert_matches_reference(group):
@@ -118,8 +120,8 @@ def test_min_index_witness_examples():
     assert witness.cycles() == [(0, 1)]  # a single block flip
 
 
-def test_orders_against_orbit_stabilizer_oracle():
-    catalog = [
+def catalog_groups() -> list[PermGroup]:
+    return [
         symmetric_natural(3),
         symmetric_natural(4),
         symmetric_natural(5),
@@ -135,18 +137,51 @@ def test_orders_against_orbit_stabilizer_oracle():
         direct_product(symmetric_natural(4), symmetric_natural(3)),
         regular_rep(direct_product(heisenberg_mod3(), cyclic_natural(2))),
     ]
+
+
+def test_orders_against_orbit_stabilizer_oracle():
     expected = [6, 24, 120, 12, 60, 16, 12, 24, 27, 6, 16, 384, 144, 54]
-    for group, order in zip(catalog, expected):
+    for group, order in zip(catalog_groups(), expected):
         assert group.order() == order
         assert_matches_reference(group)
 
 
+def test_index_and_word_follow_the_enumeration():
+    rng = random.Random(5)
+    s3 = symmetric_natural(3)
+    extra = [regular_rep(wreath(cyclic_natural(2), symmetric_natural(4))), PermGroup(3, s3.generators[::-1])]
+    for group in catalog_groups() + extra:
+        images = group.image_array()
+        assert group.index(images).tolist() == list(range(group.order()))
+        outside = [[0] * group.degree]  # not a permutation at all
+        if group.order() < math.factorial(group.degree):
+            members = set(map(tuple, images.tolist()))
+            perm = list(range(group.degree))
+            while tuple(perm) in members:
+                rng.shuffle(perm)
+            outside.append(perm)
+        assert group.index(outside).tolist() == [-1] * len(outside)
+
+        gens = np.array([g.images for g in group.generators])
+        position = {e: i for i, e in enumerate(group.elements())}
+        words = [group.word(k) for k in range(group.order())]
+        for k, word in enumerate(words):
+            row = np.arange(group.degree)
+            for j in word:
+                row = row[gens[j]]
+            assert row.tolist() == images[k].tolist()
+            assert word == bfs_tree_word(group, position, k)
+        # breadth-first order lists elements by word length
+        assert [len(w) for w in words] == sorted(len(w) for w in words)
+
+
 def test_concurrent_element_fill_single_result():
     group = wreath(cyclic_natural(2), symmetric_natural(4))
-    results = []
+    results, positions = [], []
 
     def worker():
         results.append(group.elements())
+        positions.append(group.index(group.image_array()).tolist())
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -155,3 +190,4 @@ def test_concurrent_element_fill_single_result():
         t.join()
     assert all(r is results[0] for r in results)
     assert len(results[0]) == 384
+    assert positions == [list(range(384))] * 8
