@@ -86,7 +86,7 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermG
             reps.append(k)
     translates = [group.index(np.asarray(g.images)[images[reps]]) for g in group.generators]
     action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
-    faithful = action.order() == len(images)
+    faithful = action.order() == group.order()
     return action, faithful
 
 
@@ -115,8 +115,9 @@ def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
     """Imprimitive wreath action on deg(a) * deg(h) points in deg(h) blocks.
 
     One copy of each a-generator acts in block 0; h-generators permute the
-    blocks rigidly.  The result's order is verified to equal |a|^deg(h) * |h|
-    by enumeration.
+    blocks rigidly.  An order |a|^deg(h) * |h| over the cap is refused before
+    anything is enumerated, and the result's stabilizer chain is checked to
+    give that order.
     """
     cap = max(a.cap, h.cap)
     block, nblocks = a.degree, h.degree
@@ -130,7 +131,7 @@ def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
     for g in h.generators:
         gens.append(Perm(g(b) * block + t for b in range(nblocks) for t in range(block)))
     result = PermGroup(degree, gens, cap)
-    expected = a.order() ** nblocks * h.order()
+    expected = a.order_within_cap() ** nblocks * h.order_within_cap()
     if expected > cap:
         raise EnumerationCapError(f"wreath product order {expected} exceeds cap {cap}")
     got = result.order()

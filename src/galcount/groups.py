@@ -1,17 +1,19 @@
-"""Finitely generated permutation groups, enumerated breadth-first into one cached image array."""
+"""Finitely generated permutation groups: a Schreier-Sims stabilizer chain for order and
+membership, and a breadth-first enumeration into one cached image array."""
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .perms import Perm
 
 DEFAULT_CAP = 10**6
-_IND_CHUNK = 1 << 16  # array entries per block of the vectorised ind
+_IND_CHUNK = 1 << 16  # array entries per block of the vectorised ind, sifts and spheres
 
 
 class EnumerationCapError(RuntimeError):
@@ -52,8 +54,150 @@ def a_value(inds: np.ndarray) -> Fraction:
     return Fraction(1, int(inds[1:].min())) if len(inds) > 1 else Fraction(0)
 
 
+def sphere_size(n: int, j: int) -> int:
+    """c(n, n - j), the unsigned Stirling number counting the permutations of n points with ind j."""
+    sizes = [1] + [0] * j  # sizes[i] = c(m, m - i), starting from m = 1
+    for m in range(2, n + 1):
+        for i in range(j, 0, -1):
+            sizes[i] += (m - 1) * sizes[i - 1]
+    return sizes[j]
+
+
+def next_sphere(sphere: np.ndarray) -> np.ndarray:
+    """Every permutation of ind j + 1, each once, from the (rows, n) array of all those of ind j.
+
+    A permutation of ind j + 1 is s * (a b) for exactly one s of ind j and one pair a < b:
+    a is its least moved point and b the image of a, so b is fixed by s and a is at most
+    the least point s moves.  Joining two cycles of s, the product never falls back into
+    the ball of ind <= j.
+    """
+    rows, n = sphere.shape
+    points = np.arange(n)
+    pairs = points[:, None] < points[None, :]
+    blocks = []
+    step = max(1, _IND_CHUNK // (n * n))
+    for start in range(0, rows, step):
+        block = sphere[start : start + step]
+        moved = block != points
+        least = np.where(moved.any(axis=1), moved.argmax(axis=1), n - 1)
+        allowed = pairs & ~moved[:, None, :] & (points[None, :, None] <= least[:, None, None])
+        r, a, b = np.nonzero(allowed)
+        out = block[r]
+        k = np.arange(len(r))
+        out[k, a] = b
+        out[k, b] = block[r, a]
+        blocks.append(out)
+    return np.concatenate(blocks) if blocks else sphere[:0]
+
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators that fix the
+    earlier base points, the base point's orbit under them, and one inverse transversal
+    row per orbit point (row where[p] is u^-1 for a word u in the generators with u(base) = p).
+    """
+
+    def __init__(self, base: int, gens: np.ndarray):
+        k, n = gens.shape
+        self.base, self.gens = base, gens
+        # the orbit in breadth-first order, by point then generator, over plain lists
+        where, orbit, parent, via, depth = [-1] * n, [base], [0], [0], [0]
+        where[base] = 0
+        images = gens.T.tolist()
+        for i, p in enumerate(orbit):
+            for j, q in enumerate(images[p]):
+                if where[q] < 0:
+                    where[q] = len(orbit)
+                    orbit.append(q)
+                    parent.append(i)
+                    via.append(j)
+                    depth.append(depth[i] + 1)
+        self.where, self.orbit = np.array(where, dtype=np.intp), np.array(orbit, dtype=np.intp)
+        parent, via = np.array(parent, dtype=np.intp), np.array(via, dtype=np.intp)
+        # u = g * u_parent, so u^-1 = u_parent^-1 * g^-1, gathered one depth at a time
+        gen_inverses = np.argsort(gens, axis=1)
+        self.inverses = np.empty((len(orbit), n), dtype=gens.dtype)
+        self.inverses[0] = np.arange(n)
+        flat = self.inverses.ravel()
+        bounds = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            self.inverses[lo:hi] = flat[gen_inverses[via[lo:hi]] + (parent[lo:hi] * n)[:, None]]
+        # the (point, generator) pairs that define a transversal element give the identity
+        self.schreier_pairs = np.ones(len(orbit) * k, dtype=bool)
+        self.schreier_pairs[parent[1:] * k + via[1:]] = False
+
+    def schreier_blocks(self) -> Iterator[np.ndarray]:
+        """The Schreier generators u_{s(p)}^-1 * s * u_p of the point stabilizer, less those
+        that are the identity, in bounded blocks."""
+        k, n = self.gens.shape
+        step = max(1, _IND_CHUNK // (k * n))
+        for start in range(0, len(self.orbit), step):
+            p, g = np.divmod(start * k + np.flatnonzero(self.schreier_pairs[start * k : (start + step) * k]), k)
+            targets = self.where[self.gens[g, self.orbit[p]]]
+            # y(u_p^-1(z)) = u_{s(p)}^-1(s(z)), written without forming u_p
+            image = self.inverses.ravel()[(targets * n)[:, None] + self.gens[g]]
+            keep = (image != self.inverses[p]).any(axis=1)  # y is the identity where image is u_p^-1
+            p, image = p[keep], image[keep]
+            y = np.empty_like(image)
+            y.ravel()[(self.inverses[p] + (np.arange(len(p)) * n)[:, None]).ravel()] = image.ravel()
+            yield y
+
+
+def _sift(chain: list[_Level], rows: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strip each row through chain[start:]: the residues, and the level where each stopped
+    because its base image left the orbit (len(chain) for a row that passed every level)."""
+    rows = rows.copy()
+    stop = np.full(len(rows), len(chain))
+    alive = np.arange(len(rows))
+    for depth in range(start, len(chain)):
+        level = chain[depth]
+        pos = level.where[rows[alive, level.base]]
+        stop[alive[pos < 0]] = depth
+        alive, pos = alive[pos >= 0], pos[pos >= 0]
+        rows[alive] = level.inverses.ravel()[(pos * rows.shape[1])[:, None] + rows[alive]]
+    return rows, stop
+
+
+def _schreier_sims(gens: np.ndarray) -> list[_Level]:
+    """Deterministic Schreier-Sims: a base and strong generating set for the group the rows generate.
+
+    Levels are completed from the deepest up.  Each Schreier generator of a level is sifted
+    through the levels below it; the first nonidentity residue joins every level down to
+    the one where it stopped (a new level when it passed them all), and the work resumes there.
+    """
+    identity = np.arange(gens.shape[1], dtype=gens.dtype)
+    gens = gens[(gens != identity).any(axis=1)]
+    base: list[int] = []
+    for g in gens:
+        if (g[base] == base).all():
+            base.append(int(np.argmax(g != identity)))
+    chain = [_Level(b, gens[(gens[:, base[:depth]] == base[:depth]).all(axis=1)]) for depth, b in enumerate(base)]
+    depth = len(chain) - 1
+    while depth >= 0:
+        for block in chain[depth].schreier_blocks():
+            residues, stop = _sift(chain, block, depth + 1)
+            moved = (residues != identity).any(axis=1)
+            if moved.any():
+                first = int(np.argmax(moved))
+                h, end = residues[first], int(stop[first])
+                break
+        else:
+            depth -= 1
+            continue
+        new = end == len(chain)
+        if new:
+            chain.append(_Level(int(np.argmax(h != identity)), h[None, :]))
+        for lower in range(depth + 1, end + 1 - new):
+            chain[lower] = _Level(chain[lower].base, np.vstack([chain[lower].gens, h]))
+        depth = end
+    return chain
+
+
 class PermGroup:
     """A permutation group given by degree and generators.
+
+    The order comes from a Schreier-Sims stabilizer chain (built on first use and
+    cached), so ``order()`` and ``contains(rows)`` never enumerate, and a group whose
+    order exceeds the cap is refused before any enumeration starts.
 
     Elements are enumerated breadth-first by word length in the generators
     (within a level, by parent order then generator index), starting from the
@@ -79,10 +223,12 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self.cap = cap
+        self._chain: Optional[list[_Level]] = None
         self._images: Optional[np.ndarray] = None
         self._inds: Optional[np.ndarray] = None
         self._positions: Optional[dict[bytes, int]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
+        self._witness: Optional[tuple[Optional[np.ndarray], int]] = None
         self._lock = threading.RLock()
 
     def __repr__(self) -> str:
@@ -99,6 +245,36 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
+    def _generator_rows(self) -> np.ndarray:
+        dtype = np.min_scalar_type(self.degree - 1)  # uint8 up to 256 points, then uint16, then uint32
+        return np.array([g.images for g in self.generators], dtype=dtype)
+
+    def _stabilizer_chain(self) -> list[_Level]:
+        return self._cached("_chain", lambda: _schreier_sims(self._generator_rows()))
+
+    def order(self) -> int:
+        """|G|, the product of the stabilizer chain's orbit lengths; never enumerates."""
+        return math.prod(len(level.orbit) for level in self._stabilizer_chain())
+
+    def order_within_cap(self) -> int:
+        """``order()``, raising EnumerationCapError when it exceeds the cap."""
+        order = self.order()
+        if order > self.cap:
+            raise EnumerationCapError(f"group order exceeds cap {self.cap}")
+        return order
+
+    def contains(self, rows) -> np.ndarray:
+        """Whether each row of a (k, degree) image array is an element, by sifting through the chain."""
+        chain = self._stabilizer_chain()
+        rows = np.asarray(rows, dtype=self._generator_rows().dtype).reshape(-1, self.degree)
+        identity = np.arange(self.degree, dtype=rows.dtype)
+        step = max(1, _IND_CHUNK // self.degree)
+        out = np.zeros(len(rows), dtype=bool)
+        for start in range(0, len(rows), step):
+            # a residue is the identity only for a row that passed every level
+            out[start : start + step] = (_sift(chain, rows[start : start + step], 0)[0] == identity).all(axis=1)
+        return out
+
     def image_array(self) -> np.ndarray:
         """Read-only (order, degree) array of element images in breadth-first order (cached)."""
         return self._cached("_images", self._enumerate)
@@ -107,15 +283,16 @@ class PermGroup:
         """Full element list in deterministic breadth-first order (cached)."""
         return self._cached("_elements", lambda: tuple(Perm(row) for row in self.image_array().tolist()))
 
-    def _enumerate(self) -> np.ndarray:
+    def _bfs_levels(self, order: int) -> Iterator[np.ndarray]:
+        """The enumeration of a group of the given order, one breadth-first level at a time."""
         n = self.degree
-        dtype = np.min_scalar_type(n - 1)  # uint8 up to 256 points, then uint16, then uint32
-        gens = np.array([g.images for g in self.generators], dtype=dtype)
-        identity = np.arange(n, dtype=dtype)
-        levels = [identity[None, :]]
-        seen = set(row_keys(levels[0]))
-        frontier = levels[0]
-        while len(frontier):
+        gens = self._generator_rows()
+        frontier = np.arange(n, dtype=gens.dtype)[None, :]
+        seen = set(row_keys(frontier))
+        while True:
+            yield frontier
+            if len(seen) == order:
+                return
             # (e * g)(i) = e(g(i)); row f * len(gens) + j is frontier[f] * gens[j]
             products = frontier[:, gens].reshape(-1, n)
             fresh = []
@@ -123,11 +300,10 @@ class PermGroup:
                 if key not in seen:
                     seen.add(key)
                     fresh.append(i)
-                    if len(seen) > self.cap:
-                        raise EnumerationCapError(f"group order exceeds cap {self.cap}")
             frontier = products[fresh]
-            levels.append(frontier)
-        images = np.concatenate(levels)
+
+    def _enumerate(self) -> np.ndarray:
+        images = np.concatenate(list(self._bfs_levels(self.order_within_cap())))
         images.flags.writeable = False
         return images
 
@@ -152,9 +328,6 @@ class PermGroup:
             word.append(j)
         return tuple(reversed(word))
 
-    def order(self) -> int:
-        return len(self.image_array())
-
     def inds(self) -> np.ndarray:
         """``cycle_inds`` of every element, in enumeration order (cached)."""
         return self._cached("_inds", lambda: cycle_inds(self.image_array()))
@@ -175,14 +348,49 @@ class PermGroup:
                     stack.append(q)
         return count == self.degree
 
+    def _min_index(self) -> tuple[Optional[np.ndarray], int]:
+        """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.
+
+        The BFS stops once the chain proves that no element it has not reached has a smaller
+        ind.  Sphere j, the permutations of ind j, is sifted while the ball of ind <= j is no
+        larger than the count of elements still to reach; when spheres 1 .. b - 1 hold no
+        element, an element of ind b is minimal.
+        """
+        order = self.order_within_cap()
+        best_row, best = None, self.degree  # every ind is below the degree
+        proved, ball, sifting = 0, 1, True
+        sphere = np.arange(self.degree, dtype=self._generator_rows().dtype)[None, :]
+        reached = 0
+        for level in self._bfs_levels(order):
+            reached += len(level)
+            if reached == 1:
+                continue  # the identity
+            inds = cycle_inds(level)
+            k = int(np.argmin(inds))
+            if inds[k] < best:
+                best_row, best = level[k], int(inds[k])
+            while sifting and proved + 1 < best:
+                size = sphere_size(self.degree, proved + 1)
+                if ball + size > order - reached:
+                    sifting = False  # finishing the BFS costs less than sifting the ball
+                    break
+                sphere = next_sphere(sphere)
+                if self.contains(sphere).any():
+                    sifting = False  # an element of ind proved + 1 exists, and the BFS will reach it
+                    break
+                proved, ball = proved + 1, ball + size
+            if proved + 1 >= best:
+                break
+        return (best_row, best) if best_row is not None else (None, 0)
+
     def min_index_witness(self) -> tuple[Perm, int]:
         """First element (in enumeration order) attaining the minimal index, with that index."""
-        inds = self.inds()
-        if len(inds) == 1:
+        row, ind = self._cached("_witness", self._min_index)
+        if row is None:
             raise ValueError("trivial group has no nonidentity element")
-        k = 1 + int(np.argmin(inds[1:]))
-        return Perm(self.image_array()[k].tolist()), int(inds[k])
+        return Perm(row.tolist()), ind
 
     def a_invariant(self) -> Fraction:
         """Reciprocal of the minimal index over nonidentity elements; 0 for the trivial group."""
-        return a_value(self.inds())
+        ind = self._cached("_witness", self._min_index)[1]
+        return Fraction(1, ind) if ind else Fraction(0)

@@ -1,5 +1,6 @@
 from galcount import fields
 from galcount.cli import _parse_grid, main
+from galcount.groups import PermGroup
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,15 @@ def test_aval_parse_error_exit_2(capsys):
 def test_aval_cap_exceeded_exit_3(capsys):
     code, _, err = run_cli(capsys, "--cap", "10", "aval", "natural(S 5)")
     assert code == 3 and "cap" in err
+
+
+def test_aval_over_cap_exits_3_before_enumerating(capsys, monkeypatch):
+    def refuse(self, order):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
+    for expr in ("S 12", "product(S 8, S 8)"):
+        assert run_cli(capsys, "aval", expr) == (3, "", "error: group order exceeds cap 1000000\n")
 
 
 def test_table_deg6(capsys):

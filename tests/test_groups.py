@@ -18,6 +18,7 @@ from galcount.constructions import (
     wreath,
 )
 from galcount.groups import EnumerationCapError, PermGroup
+from galcount.groupspec import parse_group_file
 from galcount.perms import Perm, parse_cycles
 
 from oracles import bfs_elements, bfs_tree_word, schreier_order
@@ -77,6 +78,71 @@ def test_cap_error_text_matches_reference():
             group.a_invariant()
         assert str(engine.value) == str(reference.value) == f"group order exceeds cap {cap}"
     assert symmetric_natural(5, cap=120).order() == 120
+
+
+def test_order_and_cap_refusal_never_enumerate(monkeypatch):
+    def refuse(self, order):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
+    assert wreath(cyclic_natural(2), symmetric_natural(4)).order() == 384
+    big = direct_product(symmetric_natural(8), symmetric_natural(8))
+    assert big.order() == math.factorial(8) ** 2
+    for group in (big, symmetric_natural(12), symmetric_natural(5, cap=119)):
+        for read in (group.image_array, group.a_invariant, group.min_index_witness):
+            with pytest.raises(EnumerationCapError, match=f"^group order exceeds cap {group.cap}$"):
+                read()
+
+
+def _bfs_reach(monkeypatch) -> list[int]:
+    """Record the size of every BFS level the library walks from now on."""
+    sizes = []
+    levels = PermGroup._bfs_levels
+
+    def counted(self, order):
+        for level in levels(self, order):
+            sizes.append(len(level))
+            yield level
+
+    monkeypatch.setattr(PermGroup, "_bfs_levels", counted)
+    return sizes
+
+
+def _first_least_ind(group):
+    inds = group.inds()
+    k = 1 + int(np.argmin(inds[1:]))
+    return Perm(group.image_array()[k].tolist()), int(inds[k])
+
+
+def test_witness_search_stops_once_the_least_ind_is_proved(monkeypatch):
+    relabel = list(range(9))
+    random.Random(9).shuffle(relabel)
+    sigma = Perm(relabel)
+    # A9 with its points renamed: no transposition sifts into it, so a 3-cycle's ind 2 is least
+    text = "degree=9\n" + "\n".join(f"gen={sigma * g * sigma.inverse()}" for g in alternating_natural(9).generators)
+    relabelled = parse_group_file(text)
+    expected = _first_least_ind(parse_group_file(text))
+    assert expected[1] == 2
+
+    sizes = _bfs_reach(monkeypatch)
+    monkeypatch.setattr(PermGroup, "_enumerate", lambda self: pytest.fail("full enumeration"))
+    s9 = symmetric_natural(9)
+    assert s9.min_index_witness() == (s9.generators[0], 1)
+    assert s9.a_invariant() == 1
+    assert sum(sizes) < 10
+    sizes.clear()
+    assert relabelled.min_index_witness() == expected
+    assert relabelled.a_invariant() == Fraction(1, 2)
+    assert sum(sizes) < 100
+
+
+def test_witness_search_walks_the_whole_bfs_when_nothing_can_be_proved(monkeypatch):
+    # least ind 192 on 384 points: the ball of ind <= 1 alone outnumbers the group
+    group = regular_rep(wreath(cyclic_natural(2), symmetric_natural(4)))
+    expected = _first_least_ind(regular_rep(wreath(cyclic_natural(2), symmetric_natural(4))))
+    sizes = _bfs_reach(monkeypatch)
+    assert group.min_index_witness() == expected
+    assert expected[1] == 192 and sum(sizes) == 384
 
 
 def test_engine_above_256_points_uses_uint16():
