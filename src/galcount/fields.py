@@ -24,9 +24,15 @@ class CensusFormatError(ValueError):
 # quadratic fields
 
 
-def _discriminant(s: int) -> int:
-    """Discriminant of Q(sqrt(s)) for squarefree s != 1."""
-    return s if s % 4 == 1 else 4 * s
+_IntOrArray = Union[int, np.ndarray]  # an exact int, or int64 values elementwise
+
+
+def _discriminant(s: _IntOrArray) -> _IntOrArray:
+    """Discriminant of Q(sqrt(s)) for squarefree s != 1: s if s = 1 (mod 4), else 4s.
+
+    Elementwise on an int64 array; an int gives an int.
+    """
+    return s * (4 - 3 * (s % 4 == 1))
 
 
 def fundamental_discriminants(x: int) -> list[int]:
@@ -36,11 +42,10 @@ def fundamental_discriminants(x: int) -> list[int]:
     """
     if x < 1:
         return []
-    flags = squarefree_sieve(x)
-    discs = (
-        _discriminant(s) for m in np.flatnonzero(flags).tolist() for s in (m, -m) if s != 1
-    )
-    return sorted((d for d in discs if abs(d) <= x), key=lambda d: (abs(d), d))
+    m = np.flatnonzero(squarefree_sieve(x))
+    d = _discriminant(np.stack([m, -m], axis=1).ravel()[1:])  # [1:] drops s = +1
+    d = d[np.abs(d) <= x]
+    return d[np.lexsort((d, np.abs(d)))].tolist()
 
 
 def count_quadratic(x: int) -> int:
@@ -77,28 +82,54 @@ def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
 # cyclic fields of odd prime degree
 
 
+def _conductor_arrays(ell: int, fmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible conductors 2 <= f <= fmax, ascending, and the number of
+    fields of each, as int64 arrays read from one table of h(f) = (ell-1)**t
+    (see ``cyclic_conductors``), with h(1) = 1 and h = 0 off the admissible f.
+
+    h is multiplicative, so the table is built one admissible prime power q at a
+    time: before q joins, h vanishes on every multiple of q, so
+    h[q*m] = (ell-1) * h[m] fills them all.  Each q <= sqrt(fmax) is one slice.
+    The q > sqrt(fmax) go in one scatter over the admissible m <= fmax // q: such
+    m < sqrt(fmax) < q, so h[m] is already final, and no target q*m has two
+    factors above sqrt(fmax), so no two q reach the same one.  h(f) < f, so
+    int64 is exact.
+    """
+    if ell % 2 == 0 or not is_prime(ell):
+        raise ValueError(f"ell must be an odd prime, got {ell}")
+    if fmax < 2 * ell + 1:  # no admissible q below 2*ell + 1; this also keeps a huge ell out of int64
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    h = np.zeros(fmax + 1, dtype=np.int64)
+    h[1] = 1
+    primes = np.array(primes_up_to(fmax), dtype=np.int64)
+    q = primes[primes % ell == 1]
+    if ell * ell <= fmax:
+        q = np.sort(np.append(q, ell * ell))
+    split = np.searchsorted(q, math.isqrt(fmax), side="right")
+    for small in q[:split].tolist():
+        h[small::small] = (ell - 1) * h[1 : fmax // small + 1]
+    big = q[split:]
+    if big.size:
+        admissible = np.flatnonzero(h[: fmax // big[0] + 1])
+        per_q = np.searchsorted(admissible, fmax // big, side="right")
+        # for each q, the prefix of ``admissible`` up to fmax // q, laid end to end
+        m = admissible[np.arange(per_q.sum()) - np.repeat(np.cumsum(per_q) - per_q, per_q)]
+        h[np.repeat(big, per_q) * m] = (ell - 1) * h[m]
+    conductors = np.flatnonzero(h[2:]) + 2
+    return conductors, h[conductors] // (ell - 1)
+
+
 def cyclic_conductors(ell: int, fmax: int) -> dict[int, int]:
     """Number of cyclic degree-ell fields of exact conductor f, for each
     admissible conductor 2 <= f <= fmax, ascending in f.
 
     Admissible f: a product of t >= 1 distinct factors, each a prime = 1
-    (mod ell) or ell^2, with (ell-1)**(t-1) fields.  So h(f) = (ell-1)**t,
-    with h(1) = 1 and h = 0 off the admissible f, is multiplicative, and the
-    table is built one admissible prime power q at a time: before q joins, h
-    vanishes on every multiple of q, so h[q*m] = (ell-1) * h[m] fills them
-    all.  h(f) < f, so int64 is exact.
+    (mod ell) or ell^2, with (ell-1)**(t-1) fields.  A dict view of the
+    conductor arrays that ``cyclic_tally`` reads directly.
     """
-    if ell % 2 == 0 or not is_prime(ell):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
-    if fmax < 2:
-        return {}
-    h = np.zeros(fmax + 1, dtype=np.int64)
-    h[1] = 1
-    wild = [ell * ell] if ell * ell <= fmax else []  # (ell-1) * h overflows int64 for huge ell
-    for q in chain((p for p in primes_up_to(fmax) if p % ell == 1), wild):
-        h[q::q] = (ell - 1) * h[1 : fmax // q + 1]
-    conductors = np.flatnonzero(h[2:]) + 2
-    return dict(zip(conductors.tolist(), (h[conductors] // (ell - 1)).tolist()))
+    conductors, counts = _conductor_arrays(ell, fmax)
+    return dict(zip(conductors.tolist(), counts.tolist()))
 
 
 def count_cyclic_ell(ell: int, x: int) -> int:
@@ -107,27 +138,36 @@ def count_cyclic_ell(ell: int, x: int) -> int:
 
 
 def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
-    """Tally of cyclic degree-ell discriminants up to xmax."""
-    conductors = cyclic_conductors(ell, introot(max(xmax, 1), ell - 1))
-    return DiscriminantTally(f"C{ell}", ((f ** (ell - 1), m) for f, m in conductors.items()))
+    """Tally of cyclic degree-ell discriminants up to xmax, read from the conductor
+    table over f <= xmax**(1/(ell-1)) with array operations: the discriminants
+    f**(ell-1) are exact Python ints, the running counts one int64 cumsum."""
+    conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
+    discs = [f ** (ell - 1) for f in conductors.tolist()]
+    return DiscriminantTally._from_cumulative(f"C{ell}", discs, np.cumsum(counts).tolist())
 
 
 # ---------------------------------------------------------------------------
 # biquadratic fields
 
 
-def _kernel(d: int) -> int:
-    """Signed squarefree kernel of a fundamental discriminant."""
-    return d if d % 4 == 1 else d // 4
+def _kernel(d: _IntOrArray) -> _IntOrArray:
+    """Signed squarefree kernel of a fundamental discriminant: d if d = 1 (mod 4),
+    else d / 4.  Elementwise on an int64 array; an int gives an int."""
+    return d // (4 - 3 * (d % 4 == 1))
 
 
-def compose_discriminants(d1: int, d2: int) -> int:
+def compose_discriminants(d1: _IntOrArray, d2: _IntOrArray) -> _IntOrArray:
     """Fundamental discriminant of the third quadratic subfield determined by d1, d2.
 
     Computed on squarefree kernels, where dividing by the squared gcd is exact.
+    Either argument may be an int64 array (elementwise, with values up to
+    4 * |d1 * d2|); two ints give an exact int.
     """
     s1, s2 = _kernel(d1), _kernel(d2)
-    g = math.gcd(s1, s2)
+    if isinstance(s1, np.ndarray) or isinstance(s2, np.ndarray):
+        g = np.gcd(s1, s2)
+    else:
+        g = math.gcd(s1, s2)
     return _discriminant((s1 // g) * (s2 // g))
 
 
@@ -137,30 +177,30 @@ def biquadratic_discs(xmax: int) -> list[int]:
     Each field corresponds to one unordered triple of distinct fundamental
     discriminants closed under composition; |disc| is the product of their
     absolute values.  Triples are enumerated once via their two members of
-    smallest (|d|, sign).
+    smallest (|d|, sign): one int64 array pass per smallest member d1 with
+    |d1|^3 <= xmax (about xmax^(1/3) Python steps) over every d2 after it with
+    |d1| * |d2|^2 <= xmax.  The bound on |d3| is checked before the product is
+    formed, so no value exceeds max(xmax, 4 * xmax^(2/3)), and xmax above
+    2**63 - 1 raises ValueError before anything is sieved.
     """
     if xmax < 144:  # smallest triple is {-3, -4, 12}
         return []
-    discs = fundamental_discriminants(math.isqrt(xmax // 3))
-    out = []
-    for i, d1 in enumerate(discs):
-        a1 = abs(d1)
+    if xmax > 2**63 - 1:
+        raise ValueError(f"biquadratic counts need |disc| <= 2**63 - 1, got {xmax}")
+    discs = np.array(fundamental_discriminants(math.isqrt(xmax // 3)), dtype=np.int64)
+    sizes = np.abs(discs)
+    found = []
+    for i, (d1, a1) in enumerate(zip(discs.tolist(), sizes.tolist())):
         if a1 * a1 * a1 > xmax:
             break
-        for j in range(i + 1, len(discs)):
-            d2 = discs[j]
-            a2 = abs(d2)
-            if a1 * a2 * a2 > xmax:
-                break
-            d3 = compose_discriminants(d1, d2)
-            a3 = abs(d3)
-            if (a3, d3) <= (a2, d2):
-                continue  # triple already seen from its two smallest members
-            product = a1 * a2 * a3
-            if product <= xmax:
-                out.append(product)
-    out.sort()
-    return out
+        end = np.searchsorted(sizes, math.isqrt(xmax // a1), side="right")
+        d2, a2 = discs[i + 1 : end], sizes[i + 1 : end]
+        d3 = compose_discriminants(d1, d2)
+        a3 = np.abs(d3)
+        # keep a triple only from its two smallest members, and only if |disc| <= xmax
+        keep = ((a3 > a2) | ((a3 == a2) & (d3 > d2))) & (a3 <= xmax // (a1 * a2))
+        found.append(a1 * a2[keep] * a3[keep])
+    return np.sort(np.concatenate(found)).tolist()
 
 
 def count_biquadratic(x: int) -> int:
@@ -198,16 +238,23 @@ class DiscriminantTally:
         self._cumulative = list(accumulate(m for _, m in entries))
 
     @classmethod
+    def _from_cumulative(cls, label: str, discs: list[int], cumulative: list[int]) -> "DiscriminantTally":
+        """From distinct |disc| values and the running field counts up to each, which
+        the caller guarantees ascending and positive; nothing is re-checked."""
+        tally = cls.__new__(cls)
+        tally.label = label
+        tally._discs = discs
+        tally._cumulative = cumulative
+        return tally
+
+    @classmethod
     def _from_sorted(cls, label: str, discs: list[int]) -> "DiscriminantTally":
         """One field per item of ``discs``, which the caller guarantees ascending and
         positive; each run of equal values becomes one entry, found without a Python loop."""
         ends_run = list(map(operator.ne, discs, islice(discs, 1, None)))
         ends_run.append(True)
-        tally = cls.__new__(cls)
-        tally.label = label
-        tally._discs = list(compress(discs, ends_run))
-        tally._cumulative = list(compress(range(1, len(discs) + 1), ends_run))
-        return tally
+        cumulative = list(compress(range(1, len(discs) + 1), ends_run))
+        return cls._from_cumulative(label, list(compress(discs, ends_run)), cumulative)
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:

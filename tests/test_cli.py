@@ -256,6 +256,17 @@ def test_allocation_failure_exit_2(capsys, monkeypatch):
     assert run_cli(capsys, "count", "quadratic") == (2, "", "error: out of memory\n")
 
 
+def test_count_biquadratic_beyond_int64_exit_2(capsys, monkeypatch):
+    # refused before the squarefree sieve to sqrt(1e19 / 3), about 1.8 GB, is allocated
+    def refuse(limit):
+        raise AssertionError("sieve started")
+
+    monkeypatch.setattr(fields, "squarefree_sieve", refuse)
+    code, out, err = run_cli(capsys, "count", "biquadratic", "--grid", "1000:1e19:3")
+    assert (code, out) == (2, "")
+    assert err == "error: biquadratic counts need |disc| <= 2**63 - 1, got 10000000000000000000\n"
+
+
 def test_fit_sample_beyond_float_range_exit_6(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text(f"x,count\n10,3\n20,5\n{10**400},7\n", encoding="utf-8")

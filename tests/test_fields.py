@@ -1,6 +1,9 @@
 import bisect
 import io
+import math
+import random
 
+import numpy as np
 import pytest
 
 from galcount.fields import (
@@ -18,7 +21,7 @@ from galcount.fields import (
     quadratic_samples,
     tally_samples,
 )
-from galcount.sieves import introot, powerful_numbers
+from galcount.sieves import introot, powerful_numbers, primes_up_to
 
 from oracles import (
     biquadratic_discs_slow,
@@ -93,6 +96,17 @@ def test_cyclic_tally_against_recursive_walk():
         assert cyclic_tally(ell, xmax).entries == expected
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7, 13])
+def test_cyclic_large_q_scatter_against_oracles(ell):
+    # below ell**4, q = ell**2 is above sqrt(fmax) and joins the scatter with the large split primes
+    wild = ell * ell
+    for fmax in [0, 1, 2 * ell, 2 * ell + 1, wild - 1, wild, wild + 1, 3 * wild, wild * wild - 1, wild * wild, 5000]:
+        conductors = cyclic_conductors_slow(ell, fmax)
+        assert cyclic_conductors(ell, fmax) == conductors
+        expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
+        assert cyclic_tally(ell, fmax ** (ell - 1)).entries == expected
+
+
 def test_cyclic_conductor_shape():
     for ell in (3, 5, 7):
         powers = {(ell - 1) ** t for t in range(12)}  # (ell-1)**t < f <= 3000
@@ -145,8 +159,37 @@ def test_count_biquadratic_small():
     assert count_biquadratic(256) == 3
 
 
-def test_biquadratic_against_square_triple_oracle():
-    assert biquadratic_discs(30_000) == biquadratic_discs_slow(30_000)
+@pytest.mark.parametrize("x", [143, 144, 224, 225, 256, 30_000, 10**5])
+def test_biquadratic_against_square_triple_oracle(x):
+    assert biquadratic_discs(x) == biquadratic_discs_slow(x)
+
+
+def _random_fundamental_discriminants(rng: random.Random, count: int, bound: int) -> list[int]:
+    """``count`` fundamental discriminants d != 1 with |d| <= bound, drawn as s = +-m
+    for random m, kept when m has no square factor p^2 with p <= sqrt(bound)."""
+    squares = np.array(primes_up_to(math.isqrt(bound)), dtype=np.int64) ** 2
+    out: list[int] = []
+    while len(out) < count:
+        m = np.array([rng.randrange(1, bound + 1) for _ in range(count)], dtype=np.int64)
+        squarefree = ~(m[:, None] % squares[None, :] == 0).any(axis=1)
+        for s in (rng.choice((-1, 1)) * int(v) for v in m[squarefree]):
+            d = s if s % 4 == 1 else 4 * s
+            if s != 1 and abs(d) <= bound:
+                out.append(d)
+    return out[:count]
+
+
+def test_compose_discriminants_arrays_match_scalars():
+    discs = _random_fundamental_discriminants(random.Random(11), 2000, 10**9)
+    pairs = [(d1, d2) for d1, d2 in zip(discs[::2], discs[1::2]) if d1 != d2]
+    d1s, d2s = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    expected = [compose_discriminants(d1, d2) for d1, d2 in pairs]
+    assert all(type(d3) is int for d3 in expected)
+    assert all(math.isqrt(d1 * d2 * d3) ** 2 == d1 * d2 * d3 for (d1, d2), d3 in zip(pairs, expected))
+    assert compose_discriminants(d1s, d2s).tolist() == expected
+    # one int against an array, as the biquadratic pass calls it
+    first = pairs[0][0]
+    assert compose_discriminants(first, d2s).tolist() == [compose_discriminants(first, d2) for _, d2 in pairs]
 
 
 def test_counts_nondecreasing():
