@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, cycle_inds, row_keys
+from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, cycle_inds
 from .perms import Perm
 from .sieves import is_prime
 
@@ -70,20 +70,21 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermG
 
     Cosets are labelled by first occurrence in the group's element enumeration,
     so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
+    The subgroup is not enumerated: first[x] = min(first[first[x]], first[x * s]) is iterated to xH's first element.
     Returns the degree-[G:H] group and whether the action is faithful.
     """
     subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], group.cap)
     for s, k in zip(subgroup.generators, group.index([s.images for s in subgroup.generators])):
         if k < 0:
             raise ValueError(f"subgroup generator {s} is not in the group")
-    images, h = group.image_array(), subgroup.image_array()
-    # Row t of x[h] is x * h_t, since (x * h)(i) = x(h(i)); likewise g[x] is g * x.
-    label = np.full(len(images), -1)
-    reps = []
-    for k in range(len(images)):
-        if label[k] < 0:
-            label[group.index(images[k][h])] = len(reps)
-            reps.append(k)
+    images = group.image_array()
+    # Column s of images is x * s, since (x * s)(i) = x(s(i)); likewise g[x] is g * x.
+    right = [group.index(images[:, list(s.images)]) for s in subgroup.generators]
+    first, least = None, np.arange(len(images))
+    while not np.array_equal(first, least):
+        first = least
+        least = np.minimum.reduce([first[first], *(first[r] for r in right)])
+    reps, label = np.unique(first, return_inverse=True)
     translates = [group.index(np.asarray(g.images)[images[reps]]) for g in group.generators]
     action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
     faithful = action.order() == group.order()
@@ -251,7 +252,7 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
     diagonal = PermGroup(n1 + dual.gens2[0].degree, gens, cap)
     images = diagonal.image_array()
     blocks = images[:, :n1], images[:, n1:] - n1
-    if any(len(set(row_keys(block))) != len(images) for block in blocks):
+    if any(len(np.unique(block, axis=0)) != len(images) for block in blocks):
         raise InconsistentDualRep(
             "a word acts as the identity in one representation but not the other"
         )

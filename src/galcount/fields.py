@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .sieves import introot, is_prime, mobius, primes_up_to, squarefree_sieve
+from .sieves import introot, is_prime, mobius, prime_array, squarefree_sieve
 
 
 class CensusFormatError(ValueError):
@@ -102,7 +102,7 @@ def _conductor_arrays(ell: int, fmax: int) -> tuple[np.ndarray, np.ndarray]:
         return none, none
     h = np.zeros(fmax + 1, dtype=np.int64)
     h[1] = 1
-    primes = np.array(primes_up_to(fmax), dtype=np.int64)
+    primes = prime_array(fmax)
     q = primes[primes % ell == 1]
     if ell * ell <= fmax:
         q = np.sort(np.append(q, ell * ell))

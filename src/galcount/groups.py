@@ -20,12 +20,6 @@ class EnumerationCapError(RuntimeError):
     """Group closure exceeded the element cap; the group is too large for exhaustive methods."""
 
 
-def row_keys(rows: np.ndarray) -> list[bytes]:
-    """The raw bytes of each row of a 2-D image array: the one hashable lookup key for elements."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
-
-
 def cycle_inds(images: np.ndarray) -> np.ndarray:
     """Read-only ind = n - (number of cycles) of each row of an (rows, n) image array."""
     rows, n = images.shape
@@ -157,6 +151,22 @@ def _sift(chain: list[_Level], rows: np.ndarray, start: int) -> tuple[np.ndarray
     return rows, stop
 
 
+def _ranks(chain: list[_Level], rows: np.ndarray) -> np.ndarray:
+    """Each row's orbit positions along the sift as one mixed-radix number, a bijection from the
+    group onto 0 .. |G| - 1; -1 where the sift leaves an orbit.  Only base-point images are
+    sifted, so a row outside the group that agrees with an element on the base gets its rank."""
+    step = _IND_CHUNK // max(len(chain), 1)
+    if len(rows) > step:
+        return np.concatenate([_ranks(chain, rows[start : start + step]) for start in range(0, len(rows), step)])
+    images = rows[:, [level.base for level in chain]].T.astype(np.intp)  # row d: the images of base point d
+    ranks = np.zeros(len(rows), dtype=np.intp)
+    for depth, level in enumerate(chain):
+        pos = level.where[images[depth]]
+        ranks = np.where((ranks < 0) | (pos < 0), -1, ranks * len(level.orbit) + pos)
+        images[depth + 1 :] = level.inverses.ravel()[images[depth + 1 :] + pos * rows.shape[1]]
+    return ranks
+
+
 def _schreier_sims(gens: np.ndarray) -> list[_Level]:
     """Deterministic Schreier-Sims: a base and strong generating set for the group the rows generate.
 
@@ -201,10 +211,10 @@ class PermGroup:
 
     Elements are enumerated breadth-first by word length in the generators
     (within a level, by parent order then generator index), starting from the
-    identity.  The enumeration is cached as one read-only (order, degree)
-    image array; row k holds the images of the k-th element, so memory is
-    about order * degree bytes for degree <= 256.  Cache fills are guarded by
-    a lock so concurrent readers see a single fill.
+    identity.  An element's one key is its rank in the chain.  The enumeration is
+    cached as one read-only (order, degree) image array (row k is the k-th element)
+    and an intp array from rank to row, about order * (degree + 8) bytes for degree
+    <= 256.  Cache fills are guarded by a lock so concurrent readers see one fill.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], cap: int = DEFAULT_CAP):
@@ -224,9 +234,7 @@ class PermGroup:
         self.generators = generators
         self.cap = cap
         self._chain: Optional[list[_Level]] = None
-        self._images: Optional[np.ndarray] = None
-        self._inds: Optional[np.ndarray] = None
-        self._positions: Optional[dict[bytes, int]] = None
+        self._enumeration: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
         self._witness: Optional[tuple[Optional[np.ndarray], int]] = None
         self._lock = threading.RLock()
@@ -277,41 +285,43 @@ class PermGroup:
 
     def image_array(self) -> np.ndarray:
         """Read-only (order, degree) array of element images in breadth-first order (cached)."""
-        return self._cached("_images", self._enumerate)
+        return self._cached("_enumeration", self._enumerate)[0]
 
     def elements(self) -> tuple[Perm, ...]:
         """Full element list in deterministic breadth-first order (cached)."""
         return self._cached("_elements", lambda: tuple(Perm(row) for row in self.image_array().tolist()))
 
-    def _bfs_levels(self, order: int) -> Iterator[np.ndarray]:
-        """The enumeration of a group of the given order, one breadth-first level at a time."""
-        n = self.degree
-        gens = self._generator_rows()
-        frontier = np.arange(n, dtype=gens.dtype)[None, :]
-        seen = set(row_keys(frontier))
+    def _bfs_levels(self, positions: np.ndarray) -> Iterator[np.ndarray]:
+        """BFS levels of a group of order len(positions); positions[rank(g)], all -1 at first, becomes g's position."""
+        chain, gens = self._stabilizer_chain(), self._generator_rows()
+        frontier = np.arange(self.degree, dtype=gens.dtype)[None, :]
+        reached = 0
         while True:
+            ranks = _ranks(chain, frontier)
+            first = np.unique(ranks, return_index=True)[1]
+            fresh = np.sort(first[positions[ranks[first]] < 0])
+            positions[ranks[fresh]] = np.arange(reached, reached + len(fresh))
+            reached += len(fresh)
+            frontier = frontier[fresh]
             yield frontier
-            if len(seen) == order:
+            if reached == len(positions):
                 return
             # (e * g)(i) = e(g(i)); row f * len(gens) + j is frontier[f] * gens[j]
-            products = frontier[:, gens].reshape(-1, n)
-            fresh = []
-            for i, key in enumerate(row_keys(products)):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            frontier = products[fresh]
+            frontier = frontier[:, gens].reshape(-1, self.degree)
 
-    def _enumerate(self) -> np.ndarray:
-        images = np.concatenate(list(self._bfs_levels(self.order_within_cap())))
-        images.flags.writeable = False
-        return images
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        positions = np.full(self.order_within_cap(), -1, dtype=np.intp)
+        images = np.concatenate(list(self._bfs_levels(positions)))
+        images.flags.writeable = positions.flags.writeable = False
+        return images, positions
 
     def index(self, rows) -> np.ndarray:
         """Enumeration position of each row of a (k, degree) image array; -1 for a row outside the group."""
-        positions = self._cached("_positions", lambda: {key: i for i, key in enumerate(row_keys(self.image_array()))})
-        rows = np.asarray(rows, dtype=self.image_array().dtype)
-        return np.array([positions.get(key, -1) for key in row_keys(rows)], dtype=np.intp)
+        images, positions = self._cached("_enumeration", self._enumerate)
+        rows = np.asarray(rows, dtype=images.dtype)
+        # the element of the row's rank, or any element for a rank of -1, equals the row only if the row is in G
+        found = positions[_ranks(self._stabilizer_chain(), rows)]
+        return np.where((images[found] == rows).all(axis=1), found, -1)
 
     def word(self, k: int) -> tuple[int, ...]:
         """Generator indices, applied left to right from the identity, that reach the k-th element.
@@ -328,25 +338,10 @@ class PermGroup:
             word.append(j)
         return tuple(reversed(word))
 
-    def inds(self) -> np.ndarray:
-        """``cycle_inds`` of every element, in enumeration order (cached)."""
-        return self._cached("_inds", lambda: cycle_inds(self.image_array()))
-
     def is_transitive(self) -> bool:
-        """True iff the generators move point 0 to every point (orbit BFS, no full enumeration)."""
-        reached = [False] * self.degree
-        reached[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            p = stack.pop()
-            for g in self.generators:
-                q = g(p)
-                if not reached[q]:
-                    reached[q] = True
-                    count += 1
-                    stack.append(q)
-        return count == self.degree
+        """True iff the first orbit of the stabilizer chain is every point (no enumeration)."""
+        chain = self._stabilizer_chain()
+        return len(chain[0].orbit) == self.degree if chain else self.degree == 1
 
     def _min_index(self) -> tuple[Optional[np.ndarray], int]:
         """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.
@@ -361,7 +356,7 @@ class PermGroup:
         proved, ball, sifting = 0, 1, True
         sphere = np.arange(self.degree, dtype=self._generator_rows().dtype)[None, :]
         reached = 0
-        for level in self._bfs_levels(order):
+        for level in self._bfs_levels(np.full(order, -1, dtype=np.intp)):
             reached += len(level)
             if reached == 1:
                 continue  # the identity

@@ -10,16 +10,20 @@ from typing import Sequence
 import numpy as np
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes p <= limit, ascending, by the sieve of Eratosthenes."""
-    if limit < 2:
-        return []
+def prime_array(limit: int) -> np.ndarray:
+    """All primes p <= limit, ascending, as an int64 array, by the sieve of Eratosthenes."""
+    limit = max(limit, 0)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return [int(p) for p in np.nonzero(flags)[0]]
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes p <= limit, ascending, as Python ints."""
+    return prime_array(limit).tolist()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -138,7 +138,7 @@ def check_index_domination_slow(dual: DualRep, cap: int = DEFAULT_CAP) -> Domina
             "a word acts as the identity in one representation but not the other"
         )
     a1, a2 = (side.a_invariant() for side in sides)
-    ind1, ind2 = (side.inds().astype(np.int64) for side in sides)
+    ind1, ind2 = (np.array([e.ind() for e in elems], dtype=np.int64) for elems in (elems1, elems2))
     # a2 * ind2 < a1 * ind1, cross-multiplied over the positive denominators
     failing = np.flatnonzero(a2.numerator * a1.denominator * ind2 < a1.numerator * a2.denominator * ind1)
     if failing.size == 0:

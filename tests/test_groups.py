@@ -17,7 +17,7 @@ from galcount.constructions import (
     symmetric_natural,
     wreath,
 )
-from galcount.groups import EnumerationCapError, PermGroup
+from galcount.groups import EnumerationCapError, PermGroup, _ranks, cycle_inds
 from galcount.groupspec import parse_group_file
 from galcount.perms import Perm, parse_cycles
 
@@ -30,7 +30,10 @@ def assert_matches_reference(group):
     assert group.elements() == reference
     assert group.order() == len(reference) == schreier_order(group.degree, list(group.generators))
     inds = [e.ind() for e in reference]
-    assert group.inds().tolist() == inds
+    assert cycle_inds(group.image_array()).tolist() == inds
+    # the ranks are a bijection onto 0 .. |G| - 1
+    ranks = _ranks(group._stabilizer_chain(), group.image_array())
+    assert sorted(ranks.tolist()) == list(range(len(reference)))
     if len(reference) == 1:
         assert group.a_invariant() == 0
         return
@@ -81,7 +84,7 @@ def test_cap_error_text_matches_reference():
 
 
 def test_order_and_cap_refusal_never_enumerate(monkeypatch):
-    def refuse(self, order):
+    def refuse(self, positions):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
@@ -99,8 +102,8 @@ def _bfs_reach(monkeypatch) -> list[int]:
     sizes = []
     levels = PermGroup._bfs_levels
 
-    def counted(self, order):
-        for level in levels(self, order):
+    def counted(self, positions):
+        for level in levels(self, positions):
             sizes.append(len(level))
             yield level
 
@@ -109,7 +112,7 @@ def _bfs_reach(monkeypatch) -> list[int]:
 
 
 def _first_least_ind(group):
-    inds = group.inds()
+    inds = cycle_inds(group.image_array())
     k = 1 + int(np.argmin(inds[1:]))
     return Perm(group.image_array()[k].tolist()), int(inds[k])
 
@@ -157,6 +160,8 @@ def test_is_transitive():
     assert PermGroup(3, [parse_cycles("(1 2 3)", 3)]).is_transitive()
     assert not PermGroup(3, [parse_cycles("(1 2)", 3)]).is_transitive()
     assert direct_product(symmetric_natural(3), cyclic_natural(2)).is_transitive()
+    assert PermGroup(1, [Perm.identity(1)]).is_transitive()
+    assert not PermGroup(3, [Perm.identity(3)]).is_transitive()
 
 
 def test_generator_validation():
@@ -239,6 +244,26 @@ def test_index_and_word_follow_the_enumeration():
             assert word == bfs_tree_word(group, position, k)
         # breadth-first order lists elements by word length
         assert [len(w) for w in words] == sorted(len(w) for w in words)
+
+
+def test_index_rejects_a_row_that_agrees_with_an_element_on_every_base_point():
+    a5 = alternating_natural(5)
+    base = [level.base for level in a5._stabilizer_chain()]
+    assert len(base) == 3
+    p, q = sorted(set(range(5)) - set(base))
+    row = list(range(5))
+    row[p], row[q] = q, p  # a transposition, fixing every base point like the identity
+    assert _ranks(a5._stabilizer_chain(), np.array([row], dtype=np.uint8)).tolist() == [0]
+    assert a5.index([row]).tolist() == [-1]
+    assert not a5.contains([row]).any()
+    assert a5.index([list(range(5))]).tolist() == [0]
+
+
+def test_index_rejects_a_row_whose_sift_leaves_an_orbit():
+    group = PermGroup(4, [parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
+    row = parse_cycles("(1 3)", 4).images  # sends the first base point out of its orbit
+    assert _ranks(group._stabilizer_chain(), np.array([row], dtype=np.uint8)).tolist() == [-1]
+    assert group.index([row, parse_cycles("(1 2)(3 4)", 4).images]).tolist() == [-1, 3]
 
 
 def test_concurrent_element_fill_single_result():
