@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, cycle_inds
+from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, component_minima, cycle_inds
 from .perms import Perm
 from .sieves import is_prime
 
@@ -70,7 +70,8 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermG
 
     Cosets are labelled by first occurrence in the group's element enumeration,
     so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
-    The subgroup is not enumerated: first[x] = min(first[first[x]], first[x * s]) is iterated to xH's first element.
+    The subgroup is not enumerated: xH is the component of x in the graph joining each
+    x to x * s for the subgroup generators s, and its first element is the least position.
     Returns the degree-[G:H] group and whether the action is faithful.
     """
     subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], group.cap)
@@ -79,11 +80,7 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermG
             raise ValueError(f"subgroup generator {s} is not in the group")
     images = group.image_array()
     # Column s of images is x * s, since (x * s)(i) = x(s(i)); likewise g[x] is g * x.
-    right = [group.index(images[:, list(s.images)]) for s in subgroup.generators]
-    first, least = None, np.arange(len(images))
-    while not np.array_equal(first, least):
-        first = least
-        least = np.minimum.reduce([first[first], *(first[r] for r in right)])
+    first = component_minima(np.array([group.index(images[:, list(s.images)]) for s in subgroup.generators]))
     reps, label = np.unique(first, return_inverse=True)
     translates = [group.index(np.asarray(g.images)[images[reps]]) for g in group.generators]
     action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
@@ -252,7 +249,7 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
     diagonal = PermGroup(n1 + dual.gens2[0].degree, gens, cap)
     images = diagonal.image_array()
     blocks = images[:, :n1], images[:, n1:] - n1
-    if any(len(np.unique(block, axis=0)) != len(images) for block in blocks):
+    if any((np.unique(block, axis=0, return_counts=True)[1] > 1).any() for block in blocks):
         raise InconsistentDualRep(
             "a word acts as the identity in one representation but not the other"
         )

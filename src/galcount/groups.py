@@ -43,6 +43,20 @@ def cycle_inds(images: np.ndarray) -> np.ndarray:
     return out
 
 
+def component_minima(succ: np.ndarray) -> np.ndarray:
+    """The least point in each point's component of the graph on 0 .. m - 1 that joins x to row[x] for each row of
+    the (k, m) array succ.  A union-find over whole arrays: roots hook onto the least root across an edge and pointer
+    jumping flattens the trees, until each edge lies in one star; an m-cycle takes one round of O(log m) jumps."""
+    k, m = succ.shape
+    first, heads, tails = np.arange(m), succ.ravel().astype(np.intp), np.arange(k * m) % m
+    while not np.array_equal(first[tails], first[heads]):
+        low, high = np.sort([first[tails], first[heads]], axis=0)
+        np.minimum.at(first, high, low)
+        while not np.array_equal(first, first[first]):
+            first = first[first]
+    return first
+
+
 def a_value(inds: np.ndarray) -> Fraction:
     """Reciprocal of the least ind past row 0 (the identity); 0 when there is no other row."""
     return Fraction(1, int(inds[1:].min())) if len(inds) > 1 else Fraction(0)
@@ -292,22 +306,26 @@ class PermGroup:
         return self._cached("_elements", lambda: tuple(Perm(row) for row in self.image_array().tolist()))
 
     def _bfs_levels(self, positions: np.ndarray) -> Iterator[np.ndarray]:
-        """BFS levels of a group of order len(positions); positions[rank(g)], all -1 at first, becomes g's position."""
-        chain, gens = self._stabilizer_chain(), self._generator_rows()
-        frontier = np.arange(self.degree, dtype=gens.dtype)[None, :]
-        reached = 0
+        """Runs of BFS levels of a group of order len(positions), the identity's alone first; positions[rank(g)],
+        all -1 at first, becomes g's position.  A run's later levels keep repeats, as products of a repeat are
+        never first occurrences; it holds at most as many rows as were reached, so stopping early costs <= 2x."""
+        chain, gens, n = self._stabilizer_chain(), self._generator_rows(), self.degree
+        level, reached = np.arange(n, dtype=gens.dtype)[None, :], 0
         while True:
-            ranks = _ranks(chain, frontier)
+            levels, rows = [level], len(level)
+            # (e * g)(i) = e(g(i)); row f * len(gens) + j of a level's successor is row f * gens[j]
+            while (rows := rows + len(levels[-1]) * len(gens)) <= min(reached, _IND_CHUNK // n):
+                levels.append(levels[-1][:, gens].reshape(-1, n))
+            run = np.concatenate(levels)
+            ranks = _ranks(chain, run)
             first = np.unique(ranks, return_index=True)[1]
             fresh = np.sort(first[positions[ranks[first]] < 0])
             positions[ranks[fresh]] = np.arange(reached, reached + len(fresh))
             reached += len(fresh)
-            frontier = frontier[fresh]
-            yield frontier
+            yield run[fresh]
             if reached == len(positions):
                 return
-            # (e * g)(i) = e(g(i)); row f * len(gens) + j is frontier[f] * gens[j]
-            frontier = frontier[:, gens].reshape(-1, self.degree)
+            level = run[fresh[fresh >= len(run) - len(levels[-1])]][:, gens].reshape(-1, n)
 
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         positions = np.full(self.order_within_cap(), -1, dtype=np.intp)
@@ -339,9 +357,8 @@ class PermGroup:
         return tuple(reversed(word))
 
     def is_transitive(self) -> bool:
-        """True iff the first orbit of the stabilizer chain is every point (no enumeration)."""
-        chain = self._stabilizer_chain()
-        return len(chain[0].orbit) == self.degree if chain else self.degree == 1
+        """True iff the generators join every point to point 0; builds no chain, so exit 4 stays cheap."""
+        return not component_minima(self._generator_rows()).any()
 
     def _min_index(self) -> tuple[Optional[np.ndarray], int]:
         """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.
@@ -353,17 +370,16 @@ class PermGroup:
         """
         order = self.order_within_cap()
         best_row, best = None, self.degree  # every ind is below the degree
-        proved, ball, sifting = 0, 1, True
+        proved, ball, sifting, reached = 0, 1, True, 0
         sphere = np.arange(self.degree, dtype=self._generator_rows().dtype)[None, :]
-        reached = 0
-        for level in self._bfs_levels(np.full(order, -1, dtype=np.intp)):
-            reached += len(level)
+        for run in self._bfs_levels(np.full(order, -1, dtype=np.intp)):
+            reached += len(run)
             if reached == 1:
                 continue  # the identity
-            inds = cycle_inds(level)
+            inds = cycle_inds(run)
             k = int(np.argmin(inds))
             if inds[k] < best:
-                best_row, best = level[k], int(inds[k])
+                best_row, best = run[k], int(inds[k])
             while sifting and proved + 1 < best:
                 size = sphere_size(self.degree, proved + 1)
                 if ball + size > order - reached:

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from galcount.constructions import (
@@ -150,6 +151,35 @@ def test_coset_action_unfaithful():
     action, faithful = coset_action(s3, [parse_cycles("(1 2 3)", 3)])
     assert action.degree == 2
     assert not faithful
+
+
+def _disjoint_cycles(*lengths: int) -> PermGroup:
+    """The cyclic group generated by one product of disjoint cycles of the given lengths."""
+    images: list[int] = []
+    for length in lengths:
+        images += [len(images) + (i + 1) % length for i in range(length)]
+    return PermGroup(len(images), [Perm(images)])
+
+
+def test_coset_labelling_takes_logarithmically_many_passes(monkeypatch):
+    # The BFS puts g^j at position j, so along g's cycle the labels fall one step per pass
+    # for a labelling that only reads each element's own neighbours: |G| passes in all.
+    # Every pass over the arrays ends in one np.array_equal, which is counted.
+    passes = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: passes.append(1) or array_equal(a, b))
+    long = _disjoint_cycles(2, 3, 5, 7, 11, 13)  # order 30030
+    g = long.generators[0]
+    for group, subgroup_gens, degree in [
+        (cyclic_natural(1024), cyclic_natural(1024).generators, 1),
+        (long, [g], 1),
+        (long, [g**6], 6),
+        (long, [g**6, g**10], 2),
+    ]:
+        passes.clear()
+        action, faithful = coset_action(group, subgroup_gens)
+        assert action.degree == degree and not faithful
+        assert 0 < len(passes) <= 4 * group.order().bit_length()
 
 
 def test_direct_product_examples():
@@ -430,6 +460,7 @@ def test_matches_perm_reference():
         (symmetric_natural(5), ["(1 2 3 4 5)", "(2 5)(3 4)"]),
         (heisenberg_mod3(), ["()"]),
         (wreath(cyclic_natural(2), symmetric_natural(4)), ["()"]),
+        (_disjoint_cycles(2, 3, 5, 7), [str(_disjoint_cycles(2, 3, 5, 7).generators[0] ** 6)]),
     ]
     for group, cycles in cosets:
         subgroup_gens = [parse_cycles(c, group.degree) for c in cycles]

@@ -17,7 +17,7 @@ from galcount.constructions import (
     symmetric_natural,
     wreath,
 )
-from galcount.groups import EnumerationCapError, PermGroup, _ranks, cycle_inds
+from galcount.groups import EnumerationCapError, PermGroup, _ranks, component_minima, cycle_inds
 from galcount.groupspec import parse_group_file
 from galcount.perms import Perm, parse_cycles
 
@@ -162,6 +162,47 @@ def test_is_transitive():
     assert direct_product(symmetric_natural(3), cyclic_natural(2)).is_transitive()
     assert PermGroup(1, [Perm.identity(1)]).is_transitive()
     assert not PermGroup(3, [Perm.identity(3)]).is_transitive()
+
+
+def test_component_minima_match_a_graph_search():
+    rng = random.Random(5)
+    for _ in range(200):
+        k, m = rng.randint(1, 3), rng.randint(1, 40)
+        succ = np.array([[rng.randrange(m) for _ in range(m)] for _ in range(k)])
+        neighbours = [set() for _ in range(m)]
+        for row in succ.tolist():
+            for x, y in enumerate(row):
+                neighbours[x].add(y)
+                neighbours[y].add(x)
+        expected = [-1] * m
+        for start in range(m):  # ascending, so each search starts at its component's least point
+            stack = [start] if expected[start] < 0 else []
+            while stack:
+                x = stack.pop()
+                if expected[x] < 0:
+                    expected[x] = start
+                    stack.extend(neighbours[x])
+        assert component_minima(succ).tolist() == expected
+
+
+def test_is_transitive_refuses_without_the_chain(monkeypatch):
+    monkeypatch.setattr(PermGroup, "_stabilizer_chain", lambda self: pytest.fail("chain built"))
+    cycle = "(" + " ".join(map(str, range(1, 501))) + ")"
+    assert not PermGroup(1000, [parse_cycles(cycle, 1000), parse_cycles("(1 2)", 1000)]).is_transitive()
+    assert PermGroup(500, [parse_cycles(cycle, 500)]).is_transitive()
+
+
+def test_narrow_levels_are_enumerated_in_runs(monkeypatch):
+    # one generator of order 2310 on 28 points: every BFS level holds one element
+    g = parse_cycles("(1 2)(3 4 5)(6 7 8 9 10)(11 12 13 14 15 16 17)(18 19 20 21 22 23 24 25 26 27 28)", 28)
+    group = PermGroup(28, [g])
+    sizes = _bfs_reach(monkeypatch)
+    powers = [Perm.identity(28)]
+    while len(powers) < 2310:
+        powers.append(powers[-1] * g)
+    assert group.elements() == tuple(powers)
+    assert sum(sizes) == 2310 and len(sizes) < 50
+    assert group.index(group.image_array()[::-1]).tolist() == list(range(2309, -1, -1))
 
 
 def test_generator_validation():
