@@ -52,7 +52,8 @@ for label, gens in [
     ("on cosets of <(1 2),(3 4)>", ["(1 2)", "(3 4)"]),
 ]:
     subgroup = [parse_cycles(text, 4) for text in gens]
-    action, faithful = coset_action(s4, subgroup)
+    action = coset_action(s4, subgroup)
+    faithful = action.order() == s4.order()
     print(
         f"  S4 {label} degree {action.degree}  faithful={faithful}  a = {action.a_invariant()}"
     )

@@ -54,6 +54,8 @@ def _parse_grid(spec: str) -> list[int]:
     if len(parts) != 3:
         raise GroupSpecError(f"grid must be lo:hi:points, got {spec!r}")
     lo, hi, points = map(_grid_value, parts)
+    if 1 <= lo < hi and points > hi - lo + 1:  # bad lo, hi or points keep geometric_grid's messages
+        raise GroupSpecError(f"grid asks for {points} points, but {lo}..{hi} holds only {hi - lo + 1} integers")
     return fitting.geometric_grid(lo, hi, points)
 
 
@@ -194,17 +196,19 @@ def _cmd_fit(args) -> int:
     elif log_power != "fit":
         log_power = float(log_power)
     result = fitting.fit_exponent(samples, log_power=log_power)
-    print(f"a_hat: {result.a_hat:.8g}")
-    print(f"c_hat: {result.c_hat:.8g}")
-    print(f"log_power: {result.b:.8g}" + (" (fitted)" if result.b_fitted else " (fixed)"))
-    print(f"rms_residual: {result.rms_residual:.8g}")
-    print(f"samples: {result.sample_count} used, {result.dropped} dropped")
-    if args.predict:
+    verdict = None
+    if args.predict:  # before anything prints, so a refused prediction prints no fit either
         group = parse_group_expr(args.predict, args.cap)
         tolerance = args.tolerance
         if tolerance is None:
             tolerance = 0.1 if log_power == "fit" else 0.05
         verdict = fitting.conjecture_verdict(group, samples, tolerance, log_power=log_power)
+    print(f"a_hat: {result.a_hat:.8g}")
+    print(f"c_hat: {result.c_hat:.8g}")
+    print(f"log_power: {result.b:.8g}" + (" (fitted)" if result.b_fitted else " (fixed)"))
+    print(f"rms_residual: {result.rms_residual:.8g}")
+    print(f"samples: {result.sample_count} used, {result.dropped} dropped")
+    if verdict is not None:
         print(f"predicted a(G): {verdict.predicted}")
         print(f"|a_hat - a(G)|: {abs(verdict.fitted.a_hat - float(verdict.predicted)):.8g}")
         print(f"tolerance: {verdict.tolerance:.8g}")

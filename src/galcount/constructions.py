@@ -65,14 +65,15 @@ def dihedral_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
     return PermGroup(n, [rotation, reflection], cap)
 
 
-def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermGroup, bool]:
+def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> PermGroup:
     """Action of the group on the left cosets of the subgroup the given elements generate.
 
     Cosets are labelled by first occurrence in the group's element enumeration,
     so ``coset_action(G, [identity])`` reproduces ``regular_rep(G)`` exactly.
     The subgroup is not enumerated: xH is the component of x in the graph joining each
     x to x * s for the subgroup generators s, and its first element is the least position.
-    Returns the degree-[G:H] group and whether the action is faithful.
+    Returns the degree-[G:H] group; its chain is not built, so a caller that needs to know
+    whether the action is faithful compares its order with the group's.
     """
     subgroup = PermGroup(group.degree, list(subgroup_gens) or [group.identity()], group.cap)
     for s, k in zip(subgroup.generators, group.index([s.images for s in subgroup.generators])):
@@ -83,16 +84,12 @@ def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> tuple[PermG
     first = component_minima(np.array([group.index(images[:, list(s.images)]) for s in subgroup.generators]))
     reps, label = np.unique(first, return_inverse=True)
     translates = [group.index(np.asarray(g.images)[images[reps]]) for g in group.generators]
-    action = PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
-    faithful = action.order() == group.order()
-    return action, faithful
+    return PermGroup(len(reps), [Perm(label[t].tolist()) for t in translates], group.cap)
 
 
 def regular_rep(group: PermGroup) -> PermGroup:
     """Left-translation action of the group on its own enumerated element list."""
-    action, faithful = coset_action(group, [group.identity()])
-    assert faithful
-    return action
+    return coset_action(group, [group.identity()])
 
 
 def direct_product(h: PermGroup, z: PermGroup) -> PermGroup:
@@ -170,7 +167,8 @@ def heisenberg_mod3(cap: int = DEFAULT_CAP) -> PermGroup:
     Built as the group of upper unitriangular 3x3 matrices over the field with
     3 elements -- triples (a, b, c) with (a,b,c)(a',b',c') = (a+a', b+b',
     c+c'+ab') -- then taken in its coset action on the non-central subgroup
-    generated by (1, 0, 0).  The construction is verified before returning.
+    generated by (1, 0, 0).  The construction is verified before returning: order 27
+    on 9 points makes the action faithful, and its generators do not commute.
     """
     triples = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     position = {t: i for i, t in enumerate(triples)}
@@ -185,15 +183,14 @@ def heisenberg_mod3(cap: int = DEFAULT_CAP) -> PermGroup:
     x = left_translation((1, 0, 0))
     y = left_translation((0, 1, 0))
     regular = PermGroup(27, [x, y], cap)
-    action, faithful = coset_action(regular, [x])
-
+    action = coset_action(regular, [x])
+    g, h = action.generators
     if not (
         action.degree == 9
-        and faithful
         and action.order() == 27
         and action.is_transitive()
         and all(e.order() == 3 for e in action.elements()[1:])
-        and any(g * h != h * g for g in action.elements() for h in action.elements())
+        and g * h != h * g
     ):
         raise AssertionError("order-27 exponent-3 construction failed verification")
     return action
@@ -240,19 +237,18 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
 
     Both sides are enumerated at once as the diagonal group on n1 + n2 points,
     whose j-th generator is gens1[j] on the first n1 and gens2[j] on the rest.
-    They present one group (and share its BFS order) exactly when each block of
-    its image array has distinct rows; otherwise InconsistentDualRep is raised.
-    On failure the first violating element is reported as its BFS-tree word.
+    The diagonal maps onto each side, so the two present one group (and share its
+    BFS order) exactly when the three stabilizer chains give one order; otherwise
+    InconsistentDualRep is raised before anything is enumerated.  On failure the
+    first violating element is reported as its BFS-tree word.
     """
     n1 = dual.gens1[0].degree
     gens = [Perm(g1.images + tuple(n1 + i for i in g2.images)) for g1, g2 in zip(dual.gens1, dual.gens2)]
     diagonal = PermGroup(n1 + dual.gens2[0].degree, gens, cap)
+    if any(PermGroup(side[0].degree, side).order() != diagonal.order() for side in (dual.gens1, dual.gens2)):
+        raise InconsistentDualRep("a word acts as the identity in one representation but not the other")
     images = diagonal.image_array()
     blocks = images[:, :n1], images[:, n1:] - n1
-    if any((np.unique(block, axis=0, return_counts=True)[1] > 1).any() for block in blocks):
-        raise InconsistentDualRep(
-            "a word acts as the identity in one representation but not the other"
-        )
     ind1, ind2 = (cycle_inds(block).astype(np.int64) for block in blocks)
     a1, a2 = a_value(ind1), a_value(ind2)
     # a2 * ind2 < a1 * ind1, cross-multiplied over the positive denominators

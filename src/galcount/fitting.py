@@ -88,13 +88,13 @@ def _fit_core(xs: np.ndarray, zs: np.ndarray, log_power: LogPower) -> tuple[floa
 def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0.0) -> FitResult:
     """Least squares on log Z = log c + a log x + b log log x.
 
-    log_power fixes b to a number or fits it with "fit".  Samples with Z = 0
+    log_power fixes b to a finite number or fits it with "fit".  Samples with Z = 0
     are dropped (log undefined, and leading zeros carry no slope information),
     as are samples with x <= 1 whenever b is involved.  At least 3 usable
     samples with distinct x are required.
     """
-    if log_power != "fit":
-        float(log_power)  # reject junk early
+    if log_power != "fit" and not math.isfinite(float(log_power)):
+        raise ValueError(f"log power must be 'fit' or a finite number, got {log_power!r}")
     needs_loglog = (log_power == "fit") or (float(log_power) != 0.0)
     usable = [
         (float(x), float(z))
@@ -143,10 +143,13 @@ def conjecture_verdict(
     tolerance: float = 0.1,
     log_power: LogPower = "fit",
 ) -> Verdict:
-    """Fit the samples and compare the exponent with the group's a-invariant.
+    """Fit the samples and compare the exponent with the group's a-invariant, within a
+    finite tolerance >= 0.
 
     The comparison is empirical evidence for the predicted growth, not a proof.
     """
+    if not 0 <= tolerance < math.inf:  # also refuses nan
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     predicted = group.a_invariant()
     fitted = fit_exponent(samples, log_power=log_power)
     within = abs(fitted.a_hat - float(predicted)) <= tolerance

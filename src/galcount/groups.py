@@ -363,36 +363,32 @@ class PermGroup:
     def _min_index(self) -> tuple[Optional[np.ndarray], int]:
         """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.
 
-        The BFS stops once the chain proves that no element it has not reached has a smaller
-        ind.  Sphere j, the permutations of ind j, is sifted while the ball of ind <= j is no
-        larger than the count of elements still to reach; when spheres 1 .. b - 1 hold no
-        element, an element of ind b is minimal.
+        First the chain bounds the least ind from below: sphere j, the permutations of ind j, is
+        sifted for j = 1, 2, ... while the ball of ind <= j is no larger than |G|, and the first
+        sphere holding an element gives the least ind.  Then the BFS walks until an element
+        reaches that bound, which is the whole BFS only when the sifting stopped below it.
         """
         order = self.order_within_cap()
-        best_row, best = None, self.degree  # every ind is below the degree
-        proved, ball, sifting, reached = 0, 1, True, 0
+        if order == 1:
+            return None, 0
+        floor, ball = 1, 1  # no element has ind below floor, and ball counts the permutations that do
         sphere = np.arange(self.degree, dtype=self._generator_rows().dtype)[None, :]
-        for run in self._bfs_levels(np.full(order, -1, dtype=np.intp)):
-            reached += len(run)
-            if reached == 1:
-                continue  # the identity
+        while ball + sphere_size(self.degree, floor) <= order:
+            sphere = next_sphere(sphere)
+            if self.contains(sphere).any():
+                break
+            floor, ball = floor + 1, ball + len(sphere)
+        best_row, best = None, self.degree  # every ind is below the degree
+        runs = self._bfs_levels(np.full(order, -1, dtype=np.intp))
+        next(runs)  # the identity
+        for run in runs:
             inds = cycle_inds(run)
             k = int(np.argmin(inds))
             if inds[k] < best:
                 best_row, best = run[k], int(inds[k])
-            while sifting and proved + 1 < best:
-                size = sphere_size(self.degree, proved + 1)
-                if ball + size > order - reached:
-                    sifting = False  # finishing the BFS costs less than sifting the ball
-                    break
-                sphere = next_sphere(sphere)
-                if self.contains(sphere).any():
-                    sifting = False  # an element of ind proved + 1 exists, and the BFS will reach it
-                    break
-                proved, ball = proved + 1, ball + size
-            if proved + 1 >= best:
+            if best == floor:
                 break
-        return (best_row, best) if best_row is not None else (None, 0)
+        return best_row, best
 
     def min_index_witness(self) -> tuple[Perm, int]:
         """First element (in enumeration order) attaining the minimal index, with that index."""

@@ -133,8 +133,7 @@ class _Parser:
                 subgroup_gens = parse_cycle_list(gens_text, parent.degree)
             except ValueError as exc:
                 raise GroupSpecError(f"bad subgroup generators: {exc}") from None
-            action, _ = constructions.coset_action(parent, subgroup_gens)
-            return action
+            return constructions.coset_action(parent, subgroup_gens)
         if name == "sl":
             self.take("num", "2")
             self.take("punct", "(")

@@ -21,11 +21,6 @@ def prime_array(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes p <= limit, ascending, as Python ints."""
-    return prime_array(limit).tolist()
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below this
 
@@ -67,7 +62,7 @@ def mobius(limit: int) -> list[int]:
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in primes_up_to(math.isqrt(limit)):
+    for p in prime_array(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         rest[p::p] //= p
@@ -78,13 +73,13 @@ def mobius(limit: int) -> list[int]:
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Bool flags over 0..limit, True at the n >= 1 with no square divisor, by
-    striking d^2 multiples."""
+    striking the multiples of p^2 for each prime p."""
     if limit < 1:
         raise ValueError("limit must be positive")
     flags = np.ones(limit + 1, dtype=bool)
     flags[0] = False
-    for d in range(2, math.isqrt(limit) + 1):
-        flags[d * d :: d * d] = False
+    for p in prime_array(math.isqrt(limit)).tolist():
+        flags[p * p :: p * p] = False
     return flags
 
 

@@ -244,6 +244,17 @@ def test_grid_values_read_exactly(capsys):
         assert (code, out) == (2, "") and "must be integers in the float range" in err, spec
 
 
+def test_grid_refuses_more_points_than_integers(capsys):
+    # 1..10 holds 10 integers; 11 points used to be built and then deduplicated to 10 rows
+    code, out, err = run_cli(capsys, "count", "quadratic", "--grid", "1:10:11")
+    assert (code, out) == (2, "") and err == "error: grid asks for 11 points, but 1..10 holds only 10 integers\n"
+    assert run_cli(capsys, "count", "quadratic", "--grid", "1:10:10")[0] == 0
+    # a bad lo, hi or point count keeps its own message
+    for spec, message in (("10:1:11", "x_min < x_max"), ("1:10:1", "at least 2 points")):
+        code, out, err = run_cli(capsys, "count", "quadratic", "--grid", spec)
+        assert (code, out) == (2, "") and message in err, spec
+
+
 def test_allocation_failure_exit_2(capsys, monkeypatch):
     # the conductor table up to 1e15 would take 7 PiB
     code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "3", "--grid", "1000:1e30:3")
@@ -309,6 +320,21 @@ def test_fit_with_predict(capsys):
     assert "predicted a(G): 1/2" in out
     assert "verdict: WITHIN tolerance" in out
     assert "empirical evidence, not a proof" in out
+
+
+def test_fit_refuses_a_tolerance_that_is_nan(capsys):
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2", "--tolerance", "nan")
+    assert (code, out) == (2, "") and "tolerance must be a finite number >= 0" in err
+
+
+def test_fit_refuses_a_negative_tolerance(capsys):
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2", "--tolerance", "-1")
+    assert (code, out) == (2, "") and "tolerance must be a finite number >= 0" in err
+
+
+def test_fit_refuses_a_log_power_that_is_nan(capsys):
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "nan")
+    assert (code, out) == (2, "") and "log power must be 'fit' or a finite number" in err
 
 
 def test_fit_cyclic_default_grid(capsys):
@@ -378,10 +404,15 @@ def test_compare_reps_inconsistent_pair_exit_7(tmp_path, capsys):
     assert code == 7 and "identity" in err
 
 
-def test_compare_reps_inconsistent_pair_over_cap_exit_3(tmp_path, capsys):
-    # each side fits under the cap, but the diagonal group both generate (C6) does not
-    text = "degree=2\ngen=(1 2)\n---\ndegree=3\ngen=(1 2 3)\n"
+def test_compare_reps_inconsistent_pair_over_cap_exit_7(tmp_path, capsys):
+    # the diagonal group both sides generate does not fit under the cap, but the chain
+    # orders refuse the pair first: C2 against C3 (diagonal C6), and S4 on (1 2), (1 2 3 4)
+    # against S4 on the same two generators swapped (diagonal of order 96)
     path = tmp_path / "pair.grp"
-    path.write_text(text, encoding="utf-8")
-    assert run_cli(capsys, "--cap", "5", "compare-reps", "--file", str(path))[0] == 3
-    assert run_cli(capsys, "--cap", "6", "compare-reps", "--file", str(path))[0] == 7
+    for text, cap in (
+        ("degree=2\ngen=(1 2)\n---\ndegree=3\ngen=(1 2 3)\n", 5),
+        ("degree=4\ngen=(1 2)\ngen=(1 2 3 4)\n---\ndegree=4\ngen=(1 2 3 4)\ngen=(1 2)\n", 50),
+    ):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "--cap", str(cap), "compare-reps", "--file", str(path))
+        assert (code, out) == (7, "") and "identity" in err

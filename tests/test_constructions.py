@@ -87,17 +87,17 @@ def test_regular_a_formula():
 
 def test_coset_action_trivial_subgroup_is_regular_rep():
     for group in [symmetric_natural(3), alternating_natural(4), cyclic_natural(5)]:
-        action, faithful = coset_action(group, [group.identity()])
+        action = coset_action(group, [group.identity()])
         reg = regular_rep(group)
-        assert faithful
+        assert action._chain is None and reg._chain is None
+        assert action.order() == group.order()
         assert action.degree == reg.degree
         assert action.generators == reg.generators
 
 
 def test_coset_action_s3_on_transposition():
     s3 = symmetric_natural(3)
-    action, faithful = coset_action(s3, [parse_cycles("(1 2)", 3)])
-    assert faithful
+    action = coset_action(s3, [parse_cycles("(1 2)", 3)])
     assert action.degree == 3
     assert action.order() == 6
     assert action.a_invariant() == Fraction(1, 1)
@@ -105,8 +105,8 @@ def test_coset_action_s3_on_transposition():
 
 def test_coset_action_s4_on_c3():
     s4 = symmetric_natural(4)
-    action, faithful = coset_action(s4, [parse_cycles("(1 2 3)", 4)])
-    assert faithful
+    action = coset_action(s4, [parse_cycles("(1 2 3)", 4)])
+    assert action.order() == s4.order()
     assert action.degree == 8
     assert action.a_invariant() == Fraction(1, 4)
 
@@ -138,7 +138,8 @@ def test_coset_action_maps_each_coset_to_its_translate():
             if x not in covered:
                 reps.append(x)
                 covered.update(x * h for h in subgroup)
-        action, _ = coset_action(group, subgroup_gens)
+        action = coset_action(group, subgroup_gens)
+        assert action._chain is None
         assert action.degree == len(reps)
         for g, image in zip(group.generators, action.generators):
             for i, rep in enumerate(reps):
@@ -148,9 +149,9 @@ def test_coset_action_maps_each_coset_to_its_translate():
 def test_coset_action_unfaithful():
     # S3 acting on the cosets of A3: degree 2, kernel A3
     s3 = symmetric_natural(3)
-    action, faithful = coset_action(s3, [parse_cycles("(1 2 3)", 3)])
+    action = coset_action(s3, [parse_cycles("(1 2 3)", 3)])
     assert action.degree == 2
-    assert not faithful
+    assert action.order() == 2 < s3.order()
 
 
 def _disjoint_cycles(*lengths: int) -> PermGroup:
@@ -177,8 +178,8 @@ def test_coset_labelling_takes_logarithmically_many_passes(monkeypatch):
         (long, [g**6, g**10], 2),
     ]:
         passes.clear()
-        action, faithful = coset_action(group, subgroup_gens)
-        assert action.degree == degree and not faithful
+        action = coset_action(group, subgroup_gens)
+        assert action.degree == degree and action.order() < group.order()
         assert 0 < len(passes) <= 4 * group.order().bit_length()
 
 
@@ -436,6 +437,20 @@ def test_inconsistent_pair_detected():
             check_index_domination(DualRep(tuple(gens1), tuple(gens2)))
 
 
+def test_inconsistent_pair_refused_before_enumerating(monkeypatch):
+    def refuse(self, positions):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
+    s4 = symmetric_natural(4)
+    for gens1, gens2 in (
+        (cyclic_natural(2).generators, cyclic_natural(4).generators),
+        (s4.generators, s4.generators[::-1]),  # the diagonal has order 96, each side 24
+    ):
+        with pytest.raises(InconsistentDualRep):
+            check_index_domination(DualRep(tuple(gens1), tuple(gens2)), cap=50)
+
+
 def test_mismatched_generator_counts_rejected():
     s3 = symmetric_natural(3)
     with pytest.raises(InconsistentDualRep):
@@ -464,10 +479,10 @@ def test_matches_perm_reference():
     ]
     for group, cycles in cosets:
         subgroup_gens = [parse_cycles(c, group.degree) for c in cycles]
-        (action, faithful), (expected, expected_faithful) = (
-            build(group, subgroup_gens) for build in (coset_action, coset_action_slow)
-        )
-        assert action.generators == expected.generators and faithful == expected_faithful
+        action = coset_action(group, subgroup_gens)
+        expected, expected_faithful = coset_action_slow(group, subgroup_gens)
+        assert action.generators == expected.generators
+        assert (action.order() == group.order()) == expected_faithful
     for build in (coset_action, coset_action_slow):
         with pytest.raises(ValueError, match=r"subgroup generator \(1 2\) is not in the group"):
             build(alternating_natural(4), [parse_cycles("(1 2)", 4)])

@@ -21,7 +21,7 @@ from galcount.fields import (
     quadratic_samples,
     tally_samples,
 )
-from galcount.sieves import introot, powerful_numbers, primes_up_to
+from galcount.sieves import introot, powerful_numbers, prime_array
 
 from oracles import (
     biquadratic_discs_slow,
@@ -167,7 +167,7 @@ def test_biquadratic_against_square_triple_oracle(x):
 def _random_fundamental_discriminants(rng: random.Random, count: int, bound: int) -> list[int]:
     """``count`` fundamental discriminants d != 1 with |d| <= bound, drawn as s = +-m
     for random m, kept when m has no square factor p^2 with p <= sqrt(bound)."""
-    squares = np.array(primes_up_to(math.isqrt(bound)), dtype=np.int64) ** 2
+    squares = prime_array(math.isqrt(bound)) ** 2
     out: list[int] = []
     while len(out) < count:
         m = np.array([rng.randrange(1, bound + 1) for _ in range(count)], dtype=np.int64)

@@ -104,6 +104,18 @@ def test_verdict_cyclic_cubic():
     assert verdict.within_tolerance
 
 
+def test_verdict_and_fit_refuse_non_finite_settings():
+    samples = [(x, 3.0 * x) for x in geometric_grid(10, 10**6, 6)]
+    c2 = regular_rep(cyclic_natural(2))
+    for tolerance in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            conjecture_verdict(c2, samples, tolerance, log_power=0.0)
+    for log_power in (math.nan, math.inf, "-inf"):
+        with pytest.raises(ValueError, match="log power must be 'fit' or a finite number"):
+            fit_exponent(samples, log_power=log_power)
+    assert conjecture_verdict(c2, samples, 0.0, log_power=0.0).tolerance == 0.0
+
+
 def test_verdict_reports_tolerance_breach():
     xs = geometric_grid(10, 10**6, 8)
     samples = [(x, 4.0 * x**0.9) for x in xs]

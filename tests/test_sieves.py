@@ -12,7 +12,7 @@ from galcount.sieves import (
     mobius,
     powerful_count,
     powerful_numbers,
-    primes_up_to,
+    prime_array,
     squarefree_sieve,
 )
 
@@ -45,9 +45,9 @@ def test_primes_against_smallest_prime_factor():
     limit = 10_000
     spf = spf_table(limit)
     primes = [n for n in range(2, limit + 1) if spf[n] == n]
-    assert primes_up_to(limit) == primes
+    assert prime_array(limit).tolist() == primes
     assert [n for n in range(-3, limit + 1) if is_prime(n)] == primes
-    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+    assert prime_array(1).tolist() == [] and prime_array(2).tolist() == [2]
 
 
 def test_mobius_against_factorization():
@@ -64,7 +64,7 @@ def test_mobius_against_factorization():
 
 
 def test_is_prime_miller_rabin_range():
-    primes = set(primes_up_to(100_000))
+    primes = set(prime_array(100_000).tolist())
     assert [n for n in range(-3, 100_001) if is_prime(n)] == sorted(primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases 2..23
