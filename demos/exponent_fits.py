@@ -17,13 +17,13 @@ from galcount import (
 
 print("quadratic fields, x up to 1e7 (prediction: a = 1)")
 samples = quadratic_samples(geometric_grid(100, 10**7, 12))
-verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), samples, 0.05, log_power=0.0)
+verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), fit_exponent(samples, log_power=0.0), 0.05)
 print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}  predicted {verdict.predicted}  "
       f"within {verdict.tolerance}: {verdict.within_tolerance}")
 
 print("cyclic cubic fields, disc up to 1e12 (prediction: a = 1/2)")
 samples = tally_samples(cyclic_tally(3, 10**12), geometric_grid(10**3, 10**12, 10))
-verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), samples, 0.05, log_power=0.0)
+verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), fit_exponent(samples, log_power=0.0), 0.05)
 print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}  predicted {verdict.predicted}  "
       f"within {verdict.tolerance}: {verdict.within_tolerance}")
 
@@ -35,7 +35,7 @@ print(f"  fitted a_hat = {fit.a_hat:.4f} from {fit.sample_count} samples")
 print("biquadratic fields, disc up to 1e8 with a free log power (prediction: a = 1/2)")
 samples = tally_samples(biquadratic_tally(10**8), geometric_grid(10**4, 10**8, 12))
 v4 = regular_rep(direct_product(cyclic_natural(2), cyclic_natural(2)))
-verdict = conjecture_verdict(v4, samples, 0.1, log_power="fit")
+verdict = conjecture_verdict(v4, fit_exponent(samples, log_power="fit"), 0.1)
 print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}, log power b = {verdict.fitted.b:.2f}  "
       f"predicted {verdict.predicted}  within {verdict.tolerance}: {verdict.within_tolerance}")
 

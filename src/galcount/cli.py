@@ -202,7 +202,7 @@ def _cmd_fit(args) -> int:
         tolerance = args.tolerance
         if tolerance is None:
             tolerance = 0.1 if log_power == "fit" else 0.05
-        verdict = fitting.conjecture_verdict(group, samples, tolerance, log_power=log_power)
+        verdict = fitting.conjecture_verdict(group, result, tolerance)
     print(f"a_hat: {result.a_hat:.8g}")
     print(f"c_hat: {result.c_hat:.8g}")
     print(f"log_power: {result.b:.8g}" + (" (fitted)" if result.b_fitted else " (fixed)"))

@@ -137,20 +137,14 @@ def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0
     )
 
 
-def conjecture_verdict(
-    group: PermGroup,
-    samples: Sequence[tuple[float, float]],
-    tolerance: float = 0.1,
-    log_power: LogPower = "fit",
-) -> Verdict:
-    """Fit the samples and compare the exponent with the group's a-invariant, within a
-    finite tolerance >= 0.
+def conjecture_verdict(group: PermGroup, fitted: FitResult, tolerance: float = 0.1) -> Verdict:
+    """Compare a fitted exponent with the group's a-invariant, within a finite tolerance >= 0;
+    nothing is refitted.
 
     The comparison is empirical evidence for the predicted growth, not a proof.
     """
     if not 0 <= tolerance < math.inf:  # also refuses nan
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     predicted = group.a_invariant()
-    fitted = fit_exponent(samples, log_power=log_power)
     within = abs(fitted.a_hat - float(predicted)) <= tolerance
     return Verdict(predicted, fitted, within, float(tolerance))

@@ -247,6 +247,7 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self.cap = cap
+        self._orbits: Optional[np.ndarray] = None
         self._chain: Optional[list[_Level]] = None
         self._enumeration: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._elements: Optional[tuple[Perm, ...]] = None
@@ -271,6 +272,10 @@ class PermGroup:
         dtype = np.min_scalar_type(self.degree - 1)  # uint8 up to 256 points, then uint16, then uint32
         return np.array([g.images for g in self.generators], dtype=dtype)
 
+    def _orbit_minima(self) -> np.ndarray:
+        """The least point of each point's orbit."""
+        return self._cached("_orbits", lambda: component_minima(self._generator_rows()))
+
     def _stabilizer_chain(self) -> list[_Level]:
         return self._cached("_chain", lambda: _schreier_sims(self._generator_rows()))
 
@@ -279,11 +284,12 @@ class PermGroup:
         return math.prod(len(level.orbit) for level in self._stabilizer_chain())
 
     def order_within_cap(self) -> int:
-        """``order()``, raising EnumerationCapError when it exceeds the cap."""
-        order = self.order()
-        if order > self.cap:
+        """``order()``, raising EnumerationCapError when it exceeds the cap.  An orbit's length
+        divides the order, so an orbit longer than the cap refuses before the chain is built,
+        whose first level alone holds an orbit's length of rows of ``degree`` points."""
+        if np.bincount(self._orbit_minima()).max() > self.cap or self.order() > self.cap:
             raise EnumerationCapError(f"group order exceeds cap {self.cap}")
-        return order
+        return self.order()
 
     def contains(self, rows) -> np.ndarray:
         """Whether each row of a (k, degree) image array is an element, by sifting through the chain."""
@@ -358,7 +364,7 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         """True iff the generators join every point to point 0; builds no chain, so exit 4 stays cheap."""
-        return not component_minima(self._generator_rows()).any()
+        return not self._orbit_minima().any()
 
     def _min_index(self) -> tuple[Optional[np.ndarray], int]:
         """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.

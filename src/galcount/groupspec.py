@@ -21,134 +21,101 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
 from . import constructions
 from .constructions import DualRep
 from .groups import DEFAULT_CAP, PermGroup
-from .perms import parse_cycle_list, parse_cycles
+from .perms import parse_cycles
 
 
 class GroupSpecError(ValueError):
     """A group expression or group file cannot be parsed."""
 
 
-_TOKEN_RE = re.compile(r'\s*(?:(\d+)|([A-Za-z_]+)|("(?:[^"\\]|\\.)*")|([(),]))')
-_FILE_TOKEN_RE = re.compile(r"\s*file\(([^()]*)\)")
+_FAMILIES = {
+    "C": constructions.cyclic_natural,
+    "A": constructions.alternating_natural,
+    "S": constructions.symmetric_natural,
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        fm = _FILE_TOKEN_RE.match(text, pos)
-        if fm is not None:
-            tokens.append(("file", fm.group(1).strip().strip('"')))
-            pos = fm.end()
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise GroupSpecError(f"unexpected character at {rest!r}")
-        number, name, string, punct = m.groups()
-        if number is not None:
-            tokens.append(("num", number))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif string is not None:
-            tokens.append(("str", string[1:-1]))
-        else:
-            tokens.append(("punct", punct))
-        pos = m.end()
-    return tokens
+def _cosets(group: PermGroup, gens: str, cap: int) -> PermGroup:
+    """The action on the cosets of the subgroup generated by ``gens``, cycle expressions joined by ``;``."""
+    parts = [part for part in gens.split(";") if part.strip()]
+    if not parts:
+        raise ValueError("empty generator list")
+    return constructions.coset_action(group, [parse_cycles(part, group.degree) for part in parts])
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], cap: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.cap = cap
+# Each form maps its name to its shape and its builder, which is called with the values the
+# shape reads and the cap.  A shape entry is "expr" (a nested expression), an argument kind
+# in _KINDS, or a token matched literally.
+_KINDS = {"int": "an integer", "str": "a quoted string", "family": "C, A or S", "path": "a file path"}
+_FORMS: dict[str, tuple[tuple[str, ...], Callable[..., PermGroup]]] = {
+    **{letter: (("int",), build) for letter, build in _FAMILIES.items()},  # "C 4" means "natural(C 4)"
+    "natural": (("(", "family", "int", ")"), lambda build, n, cap: build(n, cap)),
+    "dihedral": (("(", "int", ")"), constructions.dihedral_natural),
+    "regular": (("(", "expr", ")"), lambda group, cap: constructions.regular_rep(group)),
+    "wreath": (("(", "expr", ",", "expr", ")"), lambda a, h, cap: constructions.wreath(a, h)),
+    "product": (("(", "expr", ",", "expr", ")"), lambda h, z, cap: constructions.direct_product(h, z)),
+    "cosets": (("(", "expr", ",", "str", ")"), _cosets),
+    "sl": (("2", "(", "int", ")"), constructions.sl2_natural),  # the digit is part of the name
+    "heis": (("3", "(", ")"), constructions.heisenberg_mod3),
+    "file": (("(", "path", ")"), lambda path, cap: load_group_file(path, cap)),
+}
+_TOKEN = re.compile(r'\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+)|(?P<str>"(?:[^"\\]|\\.)*")|(?P<punct>\S))')
+_PATH = re.compile(r"[^()]*")  # file(PATH) takes the text up to the next parenthesis
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, kind: str, value: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise GroupSpecError(f"expected {want!r} at position {self.pos} in expression")
-        self.pos += 1
-        return tok[1]
+class _Reader:
+    """Reads one group expression from ``text``, a token at a time from the character offset ``pos``."""
 
-    def parse_int(self) -> int:
-        return int(self.take("num"))
+    def __init__(self, text: str, cap: int):
+        self.text, self.pos, self.cap = text, 0, cap
 
-    def parse_expr(self) -> PermGroup:
-        tok = self.peek()
-        if tok is None:
-            raise GroupSpecError("empty group expression")
-        if tok[0] == "file":
-            return load_group_file(self.take("file"), self.cap)
-        if tok[0] != "name":
-            raise GroupSpecError(f"expected a construction name, found {tok[1]!r}")
-        name = self.take("name")
-        builders = {
-            "C": constructions.cyclic_natural,
-            "A": constructions.alternating_natural,
-            "S": constructions.symmetric_natural,
-        }
-        if name in builders:
-            # bare shorthand: "C 4" means "natural(C 4)"
-            return builders[name](self.parse_int(), self.cap)
-        if name == "natural":
-            self.take("punct", "(")
-            family = self.take("name")
-            if family not in builders:
-                raise GroupSpecError(f"natural() family must be C, A or S, not {family!r}")
-            n = self.parse_int()
-            self.take("punct", ")")
-            return builders[family](n, self.cap)
-        if name == "dihedral":
-            self.take("punct", "(")
-            n = self.parse_int()
-            self.take("punct", ")")
-            return constructions.dihedral_natural(n, self.cap)
-        if name == "regular":
-            self.take("punct", "(")
-            inner = self.parse_expr()
-            self.take("punct", ")")
-            return constructions.regular_rep(inner)
-        if name in ("wreath", "product"):
-            self.take("punct", "(")
-            first = self.parse_expr()
-            self.take("punct", ",")
-            second = self.parse_expr()
-            self.take("punct", ")")
-            build = constructions.wreath if name == "wreath" else constructions.direct_product
-            return build(first, second)
-        if name == "cosets":
-            self.take("punct", "(")
-            parent = self.parse_expr()
-            self.take("punct", ",")
-            gens_text = self.take("str")
-            self.take("punct", ")")
-            try:
-                subgroup_gens = parse_cycle_list(gens_text, parent.degree)
-            except ValueError as exc:
-                raise GroupSpecError(f"bad subgroup generators: {exc}") from None
-            return constructions.coset_action(parent, subgroup_gens)
-        if name == "sl":
-            self.take("num", "2")
-            self.take("punct", "(")
-            p = self.parse_int()
-            self.take("punct", ")")
-            try:
-                return constructions.sl2_natural(p, self.cap)
-            except ValueError as exc:
-                raise GroupSpecError(str(exc)) from None
-        if name == "heis":
-            self.take("num", "3")
-            self.take("punct", "(")
-            self.take("punct", ")")
-            return constructions.heisenberg_mod3(self.cap)
-        raise GroupSpecError(f"unknown construction {name!r}")
+    def token(self) -> tuple[Optional[str], str, int]:
+        """The next token's kind (None at the end), its text and its 1-based column; reads past it."""
+        m = _TOKEN.match(self.text, self.pos)
+        if m is None:
+            return None, "", len(self.text) + 1
+        self.pos = m.end()
+        return m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1
+
+    def value(self, kind: str):
+        """Read one argument of a kind in _KINDS."""
+        if kind == "path":
+            path = _PATH.match(self.text, self.pos)
+            self.pos = path.end()
+            return path[0].strip().strip('"')
+        found, text, column = self.token()
+        if kind == "family" and found == "name":
+            if text not in _FAMILIES:
+                raise GroupSpecError(f"natural() family must be C, A or S, not {text!r}")
+            return _FAMILIES[text]
+        if found != kind:
+            raise GroupSpecError(f"expected {_KINDS[kind]} at column {column}")
+        return int(text) if kind == "int" else text[1:-1]
+
+    def expr(self) -> PermGroup:
+        """Read one form and build its group; the nested expressions of its shape recurse here, one frame each."""
+        found, name, column = self.token()
+        if found != "name":
+            raise GroupSpecError(f"expected a construction name at column {column}")
+        if name not in _FORMS:
+            raise GroupSpecError(f"unknown construction {name!r}")
+        shape, build = _FORMS[name]
+        args = []
+        for want in shape:
+            if want == "expr":
+                args.append(self.expr())
+            elif want in _KINDS:
+                args.append(self.value(want))
+            else:
+                _, text, at = self.token()
+                if text != want:
+                    raise GroupSpecError(f"expected {want!r} at column {at}")
+        try:
+            return build(*args, self.cap)
+        except GroupSpecError:
+            raise
+        except ValueError as exc:
+            raise GroupSpecError(f"column {column}: {exc}") from None
 
 
 @contextmanager
@@ -177,10 +144,16 @@ def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
 
 def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
     """Parse a group expression; file(PATH) loads a group file."""
-    parser = _Parser(_tokenize(text), cap)
-    group = parser.parse_expr()
-    if parser.peek() is not None:
-        raise GroupSpecError(f"trailing input after expression: {parser.peek()[1]!r}")
+    if not text.strip():
+        raise GroupSpecError("empty group expression")
+    reader = _Reader(text, cap)
+    try:
+        group = reader.expr()
+    except RecursionError:
+        raise GroupSpecError("expression nested too deeply") from None
+    found, rest, _ = reader.token()
+    if found is not None:
+        raise GroupSpecError(f"trailing input after expression: {rest!r}")
     return group
 
 

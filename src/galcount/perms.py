@@ -159,10 +159,3 @@ def parse_cycles(text: str, degree: int) -> Perm:
         raise CycleParseError(f"syntax error in cycle expression {text!r}")
     return Perm(images)
 
-
-def parse_cycle_list(text: str, degree: int) -> list[Perm]:
-    """Parse a ``;``-separated list of cycle expressions."""
-    parts = [p for p in (chunk.strip() for chunk in text.split(";")) if p]
-    if not parts:
-        raise CycleParseError("empty generator list")
-    return [parse_cycles(p, degree) for p in parts]

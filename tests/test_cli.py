@@ -1,4 +1,4 @@
-from galcount import fields
+from galcount import fields, fitting
 from galcount.cli import _parse_grid, main
 from galcount.groups import PermGroup
 
@@ -58,6 +58,19 @@ def test_aval_over_cap_exits_3_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
     for expr in ("S 12", "product(S 8, S 8)"):
         assert run_cli(capsys, "aval", expr) == (3, "", "error: group order exceeds cap 1000000\n")
+
+
+def test_aval_orbit_over_cap_exit_3(capsys):
+    # an orbit longer than the cap is refused before the chain's n-by-n first level is allocated
+    for expr in ("C 200000", "dihedral(500000)"):
+        assert run_cli(capsys, "--cap", "1000", "aval", expr) == (3, "", "error: group order exceeds cap 1000\n")
+
+
+def test_aval_nested_too_deeply_exit_2(capsys):
+    deep = "regular(" * 1000 + "C 2" + ")" * 1000
+    assert run_cli(capsys, "aval", deep) == (2, "", "error: expression nested too deeply\n")
+    code, out, _ = run_cli(capsys, "aval", "regular(" * 900 + "C 2" + ")" * 900)
+    assert (code, out.splitlines()[:2]) == (0, ["degree: 2", "order: 2"])
 
 
 def test_table_deg6(capsys):
@@ -320,6 +333,20 @@ def test_fit_with_predict(capsys):
     assert "predicted a(G): 1/2" in out
     assert "verdict: WITHIN tolerance" in out
     assert "empirical evidence, not a proof" in out
+
+
+def test_fit_with_predict_fits_once(capsys, monkeypatch):
+    fits = []
+    fit_exponent = fitting.fit_exponent
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit_exponent(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "fit_exponent", counted)
+    code, out, _ = run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2")
+    assert code == 0 and "verdict: WITHIN tolerance" in out
+    assert len(fits) == 1  # the verdict compares the fit already made
 
 
 def test_fit_refuses_a_tolerance_that_is_nan(capsys):

@@ -91,7 +91,7 @@ def test_leave_one_out_bound():
 
 def test_verdict_quadratic():
     samples = quadratic_samples(geometric_grid(100, 10**6, 10))
-    verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), samples, 0.05, log_power=0.0)
+    verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), fit_exponent(samples, log_power=0.0), 0.05)
     assert verdict.predicted == 1
     assert verdict.within_tolerance
 
@@ -99,25 +99,25 @@ def test_verdict_quadratic():
 def test_verdict_cyclic_cubic():
     tally = cyclic_tally(3, 10**10)
     samples = tally_samples(tally, geometric_grid(10**3, 10**10, 10))
-    verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), samples, 0.05, log_power=0.0)
+    verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), fit_exponent(samples, log_power=0.0), 0.05)
     assert float(verdict.predicted) == 0.5
     assert verdict.within_tolerance
 
 
 def test_verdict_and_fit_refuse_non_finite_settings():
     samples = [(x, 3.0 * x) for x in geometric_grid(10, 10**6, 6)]
-    c2 = regular_rep(cyclic_natural(2))
+    c2, fit = regular_rep(cyclic_natural(2)), fit_exponent(samples, log_power=0.0)
     for tolerance in (math.nan, -0.5, math.inf):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
-            conjecture_verdict(c2, samples, tolerance, log_power=0.0)
+            conjecture_verdict(c2, fit, tolerance)
     for log_power in (math.nan, math.inf, "-inf"):
         with pytest.raises(ValueError, match="log power must be 'fit' or a finite number"):
             fit_exponent(samples, log_power=log_power)
-    assert conjecture_verdict(c2, samples, 0.0, log_power=0.0).tolerance == 0.0
+    assert conjecture_verdict(c2, fit, 0.0).tolerance == 0.0
 
 
 def test_verdict_reports_tolerance_breach():
     xs = geometric_grid(10, 10**6, 8)
     samples = [(x, 4.0 * x**0.9) for x in xs]
-    verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), samples, 0.05, log_power=0.0)
+    verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), fit_exponent(samples, log_power=0.0), 0.05)
     assert not verdict.within_tolerance

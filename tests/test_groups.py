@@ -97,6 +97,15 @@ def test_order_and_cap_refusal_never_enumerate(monkeypatch):
                 read()
 
 
+def test_orbit_longer_than_cap_refused_before_the_chain():
+    # the chain's first level would hold 2000 rows of 2000 points; C 2000000 would need 14.6 TiB
+    group = cyclic_natural(2000, cap=1000)
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 1000$"):
+        group.order_within_cap()
+    assert group._chain is None
+    assert cyclic_natural(2000, cap=2000).order_within_cap() == 2000
+
+
 def _bfs_reach(monkeypatch) -> list[int]:
     """Record the size of every BFS level the library walks from now on."""
     sizes = []

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from galcount.constructions import InconsistentDualRep, check_index_domination
+from galcount.groups import EnumerationCapError
 from galcount.groupspec import (
     GroupSpecError,
     parse_group_expr,
@@ -62,6 +64,42 @@ def test_parse_errors():
     ]:
         with pytest.raises(GroupSpecError):
             parse_group_expr(bad)
+
+
+def test_syntax_errors_name_a_column():
+    for text, message in [
+        ("natural(C 3", "expected ')' at column 12"),
+        ("natural(C x)", "expected an integer at column 11"),
+        ("natural(3)", "expected C, A or S at column 9"),
+        ("wreath(natural(C 2))", "expected ',' at column 20"),
+        ('cosets(S 4, 7)', "expected a quoted string at column 13"),
+        ("sl7(5)", "expected '2' at column 3"),
+        ("regular(", "expected a construction name at column 9"),
+    ]:
+        with pytest.raises(GroupSpecError, match=f"^{re.escape(message)}$"):
+            parse_group_expr(text)
+    # these messages name no column
+    for text, message in [
+        ("natural(Q 3)", "natural() family must be C, A or S, not 'Q'"),
+        ("product(C 2, bogus(3))", "unknown construction 'bogus'"),
+        ("product(C 2, C 2) $", "trailing input after expression: '$'"),
+        ("  ", "empty group expression"),
+    ]:
+        with pytest.raises(GroupSpecError, match=f"^{re.escape(message)}$"):
+            parse_group_expr(text)
+
+
+def test_construction_errors_name_the_form_column():
+    for text, message in [
+        ("regular(sl2(4))", "column 9: 4 is not prime"),
+        ('product(C 2, cosets(S 4, "(1 9)"))', "column 14: point 9 out of range for degree 4"),
+        ('cosets(S 4, " ; ")', "column 1: empty generator list"),
+        ("dihedral(2)", "column 1: n must be at least 3"),
+    ]:
+        with pytest.raises(GroupSpecError, match=f"^{re.escape(message)}$"):
+            parse_group_expr(text)
+    with pytest.raises(EnumerationCapError):  # a refusal over the cap is not a parse error
+        parse_group_expr("regular(sl2(101))")
 
 
 def test_group_file(tmp_path):
