@@ -53,10 +53,7 @@ def _parse_grid(spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise GroupSpecError(f"grid must be lo:hi:points, got {spec!r}")
-    lo, hi, points = map(_grid_value, parts)
-    if 1 <= lo < hi and points > hi - lo + 1:  # bad lo, hi or points keep geometric_grid's messages
-        raise GroupSpecError(f"grid asks for {points} points, but {lo}..{hi} holds only {hi - lo + 1} integers")
-    return fitting.geometric_grid(lo, hi, points)
+    return fitting.geometric_grid(*map(_grid_value, parts))
 
 
 def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGroup:
@@ -149,7 +146,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
             grid = _parse_grid(args.grid)
         else:
             top = tally.entries[-1][0]
-            grid = fitting.geometric_grid(1, top, 12)
+            grid = fitting.geometric_grid(1, top, min(top, 12))
         return fields.tally_samples(tally, grid)
     raise GroupSpecError(f"unknown family {args.family!r}")
 

@@ -19,50 +19,56 @@ class InconsistentDualRep(ValueError):
     """The two generator lists do not present the same abstract group."""
 
 
+def _points(n: int, least: int, cap: int, transitive: bool = True) -> np.ndarray:
+    """The points 0..n-1 of a leaf group.  A group transitive on n points has order at least n,
+    so an n over the cap is refused before any image is built (PermGroup refuses a cap below 1)."""
+    if n < least:
+        raise ValueError("n must be positive" if least == 1 else f"n must be at least {least}")
+    if transitive and 1 <= cap < n:
+        raise EnumerationCapError(f"group order exceeds cap {cap}")
+    return np.arange(n)
+
+
+def _cycle(points: np.ndarray, n: int) -> np.ndarray:
+    """Images on n points of the cycle points[0] -> points[1] -> ... -> points[0]."""
+    images = np.arange(n)
+    images[points] = np.roll(points, -1)
+    return images
+
+
+def _leaf(n: int, images: Sequence[np.ndarray], cap: int) -> PermGroup:
+    """The group on n points generated by the image arrays, a repeated one taken once."""
+    unique = dict.fromkeys(tuple(i.tolist()) for i in images)
+    return PermGroup(n, [Perm(i) for i in unique], cap)
+
+
 def cyclic_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """Cyclic group of order n acting on n points (regular for n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return PermGroup(n, [Perm([(i + 1) % n for i in range(n)])], cap)
+    points = _points(n, 1, cap)
+    return _leaf(n, [_cycle(points, n)], cap)
 
 
 def symmetric_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Symmetric group on n points in its natural action."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return PermGroup(1, [Perm.identity(1)], cap)
-    transposition = Perm([1, 0] + list(range(2, n)))
-    if n == 2:
-        return PermGroup(2, [transposition], cap)
-    full_cycle = Perm([(i + 1) % n for i in range(n)])
-    return PermGroup(n, [transposition, full_cycle], cap)
+    """Symmetric group on n points in its natural action, generated by (0 1) and an n-cycle."""
+    points = _points(n, 1, cap)
+    return _leaf(n, [_cycle(points[:2], n), _cycle(points, n)], cap)
 
 
 def alternating_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Alternating group on n points in its natural action."""
-    if n < 3:
-        # A1 and A2 are trivial.
-        if n < 1:
-            raise ValueError("n must be positive")
-        return PermGroup(n, [Perm.identity(n)], cap)
-    three_cycle = Perm([1, 2, 0] + list(range(3, n)))
-    if n == 3:
-        return PermGroup(3, [three_cycle], cap)
-    if n % 2 == 1:
-        big = Perm([(i + 1) % n for i in range(n)])
-    else:
-        big = Perm([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
-    return PermGroup(n, [three_cycle, big], cap)
+    """Alternating group on n points in its natural action; A1 and A2 are trivial.
+
+    Generated by (0 1 2) and a long even cycle: through every point for odd n, and
+    through 1..n-1 for even n.
+    """
+    points = _points(n, 1, cap, transitive=n >= 3)
+    three_cycle = [_cycle(points[:3], n)] if n >= 3 else []
+    return _leaf(n, three_cycle + [_cycle(points[1 - n % 2 :], n)], cap)
 
 
 def dihedral_natural(n: int, cap: int = DEFAULT_CAP) -> PermGroup:
     """Dihedral group of order 2n acting on the vertices of an n-gon."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    rotation = Perm([(i + 1) % n for i in range(n)])
-    reflection = Perm([(n - i) % n for i in range(n)])
-    return PermGroup(n, [rotation, reflection], cap)
+    points = _points(n, 3, cap)
+    return _leaf(n, [_cycle(points, n), -points % n], cap)
 
 
 def coset_action(group: PermGroup, subgroup_gens: Sequence[Perm]) -> PermGroup:
@@ -97,13 +103,9 @@ def direct_product(h: PermGroup, z: PermGroup) -> PermGroup:
 
     Generators are h's (acting on i) followed by z's (acting on j).
     """
-    n, m = h.degree, z.degree
-    gens = []
-    for g in h.generators:
-        gens.append(Perm(g(i) * m + j for i in range(n) for j in range(m)))
-    for g in z.generators:
-        gens.append(Perm(i * m + g(j) for i in range(n) for j in range(m)))
-    return PermGroup(n * m, gens, max(h.cap, z.cap))
+    grid = np.arange(h.degree * z.degree).reshape(h.degree, z.degree)
+    images = [grid[g.images, :] for g in h.generators] + [grid[:, g.images] for g in z.generators]
+    return PermGroup(grid.size, [Perm(i.ravel().tolist()) for i in images], max(h.cap, z.cap))
 
 
 def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
@@ -111,24 +113,17 @@ def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
 
     One copy of each a-generator acts in block 0; h-generators permute the
     blocks rigidly.  An order |a|^deg(h) * |h| over the cap is refused before
-    anything is enumerated, and the result's stabilizer chain is checked to
-    give that order.
+    any image is built, and the result's stabilizer chain is checked to give
+    that order.
     """
     cap = max(a.cap, h.cap)
-    block, nblocks = a.degree, h.degree
-    degree = block * nblocks
-    gens = []
-    for g in a.generators:
-        images = list(range(degree))
-        for t in range(block):
-            images[t] = g(t)
-        gens.append(Perm(images))
-    for g in h.generators:
-        gens.append(Perm(g(b) * block + t for b in range(nblocks) for t in range(block)))
-    result = PermGroup(degree, gens, cap)
-    expected = a.order_within_cap() ** nblocks * h.order_within_cap()
+    expected = a.order_within_cap() ** h.degree * h.order_within_cap()
     if expected > cap:
         raise EnumerationCapError(f"wreath product order {expected} exceeds cap {cap}")
+    grid = np.arange(a.degree * h.degree).reshape(h.degree, a.degree)  # row b is block b
+    images = [np.concatenate([g.images, grid[1:].ravel()]) for g in a.generators]
+    images += [grid[g.images, :].ravel() for g in h.generators]
+    result = PermGroup(grid.size, [Perm(i.tolist()) for i in images], cap)
     got = result.order()
     if got != expected:
         raise AssertionError(f"wreath order check failed: {got} != {expected}")
@@ -147,18 +142,10 @@ def sl2_natural(p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     order = p * (p * p - 1)
     if order > cap:
         raise EnumerationCapError(f"SL2({p}) order {order} exceeds cap {cap}")
-    vectors = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
-    position = {v: i for i, v in enumerate(vectors)}
-
-    def matrix_perm(m) -> Perm:
-        (a, b), (c, d) = m
-        return Perm(
-            position[((a * x + b * y) % p, (c * x + d * y) % p)] for x, y in vectors
-        )
-
-    upper = matrix_perm(((1, 1), (0, 1)))
-    lower = matrix_perm(((1, 0), (1, 1)))
-    return PermGroup(p * p - 1, [upper, lower], cap)
+    x, y = np.divmod(np.arange(1, p * p), p)  # point x * p + y - 1 is the vector (x, y)
+    upper = (x + y) % p * p + y - 1  # ((1, 1), (0, 1)) maps (x, y) to (x + y, y)
+    lower = x * p + (x + y) % p - 1  # ((1, 0), (1, 1)) maps (x, y) to (x, x + y)
+    return PermGroup(p * p - 1, [Perm(upper.tolist()), Perm(lower.tolist())], cap)
 
 
 def heisenberg_mod3(cap: int = DEFAULT_CAP) -> PermGroup:
@@ -170,18 +157,9 @@ def heisenberg_mod3(cap: int = DEFAULT_CAP) -> PermGroup:
     generated by (1, 0, 0).  The construction is verified before returning: order 27
     on 9 points makes the action faithful, and its generators do not commute.
     """
-    triples = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    position = {t: i for i, t in enumerate(triples)}
-
-    def left_translation(t) -> Perm:
-        a, b, c = t
-        return Perm(
-            position[((a + a2) % 3, (b + b2) % 3, (c + c2 + a * b2) % 3)]
-            for (a2, b2, c2) in triples
-        )
-
-    x = left_translation((1, 0, 0))
-    y = left_translation((0, 1, 0))
+    a, b, c = np.unravel_index(np.arange(27), (3, 3, 3))  # point 9a + 3b + c is the triple (a, b, c)
+    translates = ((a + 1, b, c + b), (a, b + 1, c))  # on the left by (1, 0, 0) and by (0, 1, 0)
+    x, y = (Perm(np.ravel_multi_index(t, (3, 3, 3), mode="wrap").tolist()) for t in translates)
     regular = PermGroup(27, [x, y], cap)
     action = coset_action(regular, [x])
     g, h = action.generators

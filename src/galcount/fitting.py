@@ -14,6 +14,8 @@ from .groups import PermGroup
 
 LogPower = Union[float, int, str]  # a number, or "fit"
 
+MAX_GRID_POINTS = 10**6  # refused before any value is built, so a huge point count fails at once
+
 
 class InsufficientSamplesError(ValueError):
     """Fewer than three usable samples with distinct x."""
@@ -40,11 +42,15 @@ class Verdict:
 
 
 def geometric_grid(x_min: int, x_max: int, points: int) -> list[int]:
-    """Geometrically spaced integer cutoffs from x_min to x_max inclusive."""
+    """Geometrically spaced integer cutoffs from x_min to x_max inclusive, at most MAX_GRID_POINTS."""
     if not (1 <= x_min < x_max):
         raise ValueError("need 1 <= x_min < x_max")
     if points < 2:
         raise ValueError("need at least 2 points")
+    if points > x_max - x_min + 1:
+        raise ValueError(f"grid asks for {points} points, but {x_min}..{x_max} holds only {x_max - x_min + 1} integers")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"grid asks for {points} points, more than the limit of {MAX_GRID_POINTS}")
     try:
         ratio = (x_max / x_min) ** (1.0 / (points - 1))
         values = [int(round(x_min * ratio**i)) for i in range(points)]

@@ -84,23 +84,24 @@ def squarefree_sieve(limit: int) -> np.ndarray:
 
 
 def introot(x: int, k: int) -> int:
-    """Largest integer r with r**k <= x (exact integer arithmetic)."""
+    """Largest integer r with r**k <= x (exact integer arithmetic).
+
+    Newton's iteration in integers from 2**ceil(bits(x) / k) > x**(1/k): each step stays at or
+    above the root (by the AM-GM inequality) and falls while above it, so the first step that
+    does not fall stops at the root, after O(log bits(x)) steps.
+    """
     if x < 0 or k < 1:
         raise ValueError("x must be nonnegative and k positive")
-    if x == 0:
-        return 0
-    if k == 1:
-        return x
     if k == 2:
         return math.isqrt(x)
-    if k >= x.bit_length():  # 2**k > x, and 2**k itself may not fit in memory
-        return 1
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if x == 0 or k >= x.bit_length():  # 2**k > x, and 2**k itself may not fit in memory
+        return min(x, 1)
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _powerful_parts(k: int, x: int, squarefree: np.ndarray):

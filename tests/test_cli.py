@@ -268,6 +268,26 @@ def test_grid_refuses_more_points_than_integers(capsys):
         assert (code, out) == (2, "") and message in err, spec
 
 
+def test_grid_over_the_point_limit_exit_2(capsys):
+    # 1..1e300 holds 10**8 integers, but 10**8 points are refused before any value is built
+    code, out, err = run_cli(capsys, "count", "quadratic", "--grid", "1:1e300:100000000")
+    assert (code, out, err) == (2, "", "error: grid asks for 100000000 points, more than the limit of 1000000\n")
+
+
+def test_cyclic_conductor_bound_beyond_the_float_guess_exit_2(capsys):
+    # fmax = introot(1e200, 4) = 10**50 is found exactly at once, and its table cannot be allocated
+    code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "5", "--grid", "1000:1e200:3")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_census_default_grid_on_a_small_census(tmp_path, capsys):
+    # the default asks for 12 points, and for fewer when the census tops out below 12
+    path = tmp_path / "census.csv"
+    path.write_text("degree,group,abs_disc\n2,C2,3\n2,C2,4\n2,C2,5\n2,C2,8\n")
+    code, out, _ = run_cli(capsys, "count", "census", "--label", "C2", "--file", str(path))
+    assert code == 0 and out == "x,count\n1,0\n2,0\n3,1\n4,2\n6,3\n8,4\n"
+
+
 def test_allocation_failure_exit_2(capsys, monkeypatch):
     # the conductor table up to 1e15 would take 7 PiB
     code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "3", "--grid", "1000:1e30:3")

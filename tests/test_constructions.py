@@ -275,6 +275,76 @@ def test_wreath_cap():
         wreath(cyclic_natural(2, cap=100), symmetric_natural(4, cap=100))
 
 
+# Literal generator images: any relabelling of the points or reordering of the
+# generators fails here.
+PINNED_IMAGES = [
+    (cyclic_natural(5), [[1, 2, 3, 4, 0]]),
+    # S1, A1 and A2 are trivial, S2 has one generator, and A3 its 3-cycle once
+    (symmetric_natural(1), [[0]]),
+    (symmetric_natural(2), [[1, 0]]),
+    (alternating_natural(1), [[0]]),
+    (alternating_natural(2), [[0, 1]]),
+    (alternating_natural(3), [[1, 2, 0]]),
+    (alternating_natural(6), [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]),
+    (dihedral_natural(4), [[1, 2, 3, 0], [0, 3, 2, 1]]),
+    (symmetric_natural(4), [[1, 0, 2, 3], [1, 2, 3, 0]]),
+    (alternating_natural(4), [[1, 2, 0, 3], [0, 2, 3, 1]]),
+    (alternating_natural(5), [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),
+    (dihedral_natural(5), [[1, 2, 3, 4, 0], [0, 4, 3, 2, 1]]),
+    (sl2_natural(3), [[3, 7, 2, 6, 1, 5, 0, 4], [0, 1, 3, 4, 2, 7, 5, 6]]),
+    (
+        sl2_natural(5),
+        [
+            [5, 11, 17, 23, 4, 10, 16, 22, 3, 9, 15, 21, 2, 8, 14, 20, 1, 7, 13, 19, 0, 6, 12, 18],
+            [0, 1, 2, 3, 5, 6, 7, 8, 4, 11, 12, 13, 9, 10, 17, 18, 14, 15, 16, 23, 19, 20, 21, 22],
+        ],
+    ),
+    (heisenberg_mod3(), [[0, 2, 4, 5, 1, 6, 3, 7, 8], [1, 3, 6, 0, 5, 7, 8, 4, 2]]),
+    (
+        direct_product(symmetric_natural(3), cyclic_natural(2)),
+        [[2, 3, 0, 1, 4, 5], [2, 3, 4, 5, 0, 1], [1, 0, 3, 2, 5, 4]],
+    ),
+    (
+        wreath(cyclic_natural(2), symmetric_natural(3)),
+        [[1, 0, 2, 3, 4, 5], [2, 3, 0, 1, 4, 5], [2, 3, 4, 5, 0, 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize("group, images", PINNED_IMAGES)
+def test_generator_images_pinned(group, images):
+    assert [list(g.images) for g in group.generators] == images
+    assert group.degree == len(images[0])
+
+
+def test_leaf_over_cap_refused_before_any_point_is_built(monkeypatch):
+    def refuse(self, images):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(Perm, "__init__", refuse)
+    # 10**11 points are refused from n alone; building them would exhaust memory
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 1000000$"):
+        cyclic_natural(10**11)
+    for build, n in ((symmetric_natural, 4), (alternating_natural, 3), (dihedral_natural, 3), (cyclic_natural, 2)):
+        with pytest.raises(EnumerationCapError, match=f"^group order exceeds cap {n - 1}$"):
+            build(n, cap=n - 1)
+
+
+def test_leaf_at_the_cap_is_built():
+    assert cyclic_natural(7, cap=7).order() == 7
+    assert dihedral_natural(7, cap=7).degree == 7  # its order 14 is refused later, by the chain
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 7$"):
+        dihedral_natural(7, cap=7).order_within_cap()
+    # A1 and A2 are trivial, so a cap of 1 holds them; a cap below 1 stays PermGroup's to refuse
+    assert alternating_natural(2, cap=1).order() == 1
+    with pytest.raises(ValueError, match="cap must be positive"):
+        cyclic_natural(5, cap=0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        cyclic_natural(0, cap=1)
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        dihedral_natural(2)
+
+
 def test_sl2_examples():
     g2 = sl2_natural(2)
     assert g2.degree == 3 and g2.order() == 6

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from galcount import fitting
 from galcount.constructions import cyclic_natural, regular_rep
 from galcount.fields import cyclic_tally, quadratic_samples, tally_samples
 from galcount.fitting import (
+    MAX_GRID_POINTS,
     InsufficientSamplesError,
     conjecture_verdict,
     fit_exponent,
@@ -23,6 +25,22 @@ def test_geometric_grid():
         geometric_grid(0, 10, 2)
     with pytest.raises(ValueError):
         geometric_grid(1, 10, 1)
+
+
+def test_geometric_grid_refuses_points_before_building(monkeypatch):
+    with pytest.raises(ValueError, match="^grid asks for 11 points, but 1..10 holds only 10 integers$"):
+        geometric_grid(1, 10, 11)
+    assert geometric_grid(1, 10, 10)[-1] == 10
+    assert geometric_grid(1, 10**300, MAX_GRID_POINTS)[-1] == 10**300
+    def no_values(value):
+        raise AssertionError("a grid value was built")
+
+    monkeypatch.setattr(fitting, "round", no_values, raising=False)  # shadows the builtin in fitting
+    message = f"^grid asks for {MAX_GRID_POINTS + 1} points, more than the limit of {MAX_GRID_POINTS}$"
+    with pytest.raises(ValueError, match=message):
+        geometric_grid(1, 10**300, MAX_GRID_POINTS + 1)
+    with pytest.raises(ValueError, match="more than the limit"):
+        geometric_grid(1, 10**300, 10**8)
 
 
 def test_exact_power_law_recovery():

@@ -74,12 +74,15 @@ def test_cap_exceeded():
 
 def test_cap_error_text_matches_reference():
     for cap in (1, 5, 100, 119):
-        group = symmetric_natural(5, cap=cap)
+        group = PermGroup(5, symmetric_natural(5).generators, cap)
         with pytest.raises(EnumerationCapError) as reference:
             bfs_elements(5, list(group.generators), cap)
         with pytest.raises(EnumerationCapError) as engine:
             group.a_invariant()
         assert str(engine.value) == str(reference.value) == f"group order exceeds cap {cap}"
+    # the constructor itself refuses 5 points over a cap of 1, with the same text
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 1$"):
+        symmetric_natural(5, cap=1)
     assert symmetric_natural(5, cap=120).order() == 120
 
 
@@ -99,7 +102,7 @@ def test_order_and_cap_refusal_never_enumerate(monkeypatch):
 
 def test_orbit_longer_than_cap_refused_before_the_chain():
     # the chain's first level would hold 2000 rows of 2000 points; C 2000000 would need 14.6 TiB
-    group = cyclic_natural(2000, cap=1000)
+    group = PermGroup(2000, cyclic_natural(2000).generators, cap=1000)
     with pytest.raises(EnumerationCapError, match="^group order exceeds cap 1000$"):
         group.order_within_cap()
     assert group._chain is None

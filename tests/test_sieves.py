@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ def test_introot():
     assert introot(10**6, 2**64) == 1
     assert introot(1, 2**64) == 1
     assert introot(0, 2**64) == 0
+
+
+def test_introot_exact_far_beyond_the_float_guess():
+    # a float estimate of the fourth root of 10**96 is off by 16,777,216
+    assert introot(10**96, 4) == 10**24
+    assert introot(10**100, 4) == 10**25
+    assert introot(10**200, 4) == 10**50
+    rng = random.Random(20)
+    for _ in range(300):
+        x = rng.randrange(1, 10 ** rng.randrange(1, 301))
+        for k in (2, 3, 4, 5, 7, rng.randrange(2, 61)):
+            r = introot(x, k)
+            assert r**k <= x < (r + 1) ** k, (x, k)
+    for k in range(2, 61):
+        for x in (2**k - 1, 2**k, 3**k - 1, 3**k, 10**300):
+            r = introot(x, k)
+            assert r**k <= x < (r + 1) ** k, (x, k)
 
 
 def test_powerful_count_basics():
