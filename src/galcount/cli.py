@@ -145,7 +145,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
         if args.grid:
             grid = _parse_grid(args.grid)
         else:
-            top = tally.entries[-1][0]
+            top = tally.largest_disc()
             grid = fitting.geometric_grid(1, top, min(top, 12))
         return fields.tally_samples(tally, grid)
     raise GroupSpecError(f"unknown family {args.family!r}")

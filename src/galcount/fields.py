@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, islice
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -140,10 +139,14 @@ def count_cyclic_ell(ell: int, x: int) -> int:
 def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
     """Tally of cyclic degree-ell discriminants up to xmax, read from the conductor
     table over f <= xmax**(1/(ell-1)) with array operations: the discriminants
-    f**(ell-1) are exact Python ints, the running counts one int64 cumsum."""
+    f**(ell-1) <= xmax are one int64 power below 2**63 and exact Python ints in a
+    ``dtype=object`` array from there (an int64 power would wrap), the running
+    counts one int64 cumsum."""
     conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
-    discs = [f ** (ell - 1) for f in conductors.tolist()]
-    return DiscriminantTally._from_cumulative(f"C{ell}", discs, np.cumsum(counts).tolist())
+    if xmax >= 2**63:
+        conductors = conductors.astype(object)
+    discs = conductors ** (ell - 1) if conductors.size else conductors  # with no conductor, ell may pass int64
+    return DiscriminantTally._from_cumulative(f"C{ell}", discs, np.append(0, np.cumsum(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +214,26 @@ def count_biquadratic(x: int) -> int:
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":
-    return DiscriminantTally._from_sorted("C2xC2", biquadratic_discs(xmax))
+    return DiscriminantTally._from_sorted("C2xC2", np.array(biquadratic_discs(xmax), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # tallies and census ingestion
 
 
+def _exact_array(values: Sequence[int]) -> np.ndarray:
+    """``values`` as an int64 array when every one fits, else as a ``dtype=object``
+    array of the Python ints themselves, so no value ever wraps."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class DiscriminantTally:
-    """Ascending distinct |disc| values for one group label, with the number of
-    fields up to and including each."""
+    """Ascending distinct |disc| values for one group label, and the number of
+    fields below the first of them (0), up to each, held as arrays: int64 when
+    every value fits, ``dtype=object`` (exact Python ints) past 2**63."""
 
     __slots__ = ("label", "_discs", "_cumulative")
 
@@ -234,13 +247,13 @@ class DiscriminantTally:
             if d1 >= d2:
                 raise ValueError("entries must be strictly increasing in abs_disc")
         self.label = label
-        self._discs = [d for d, _ in entries]
-        self._cumulative = list(accumulate(m for _, m in entries))
+        self._discs = _exact_array([d for d, _ in entries])
+        self._cumulative = _exact_array(list(accumulate((m for _, m in entries), initial=0)))
 
     @classmethod
-    def _from_cumulative(cls, label: str, discs: list[int], cumulative: list[int]) -> "DiscriminantTally":
-        """From distinct |disc| values and the running field counts up to each, which
-        the caller guarantees ascending and positive; nothing is re-checked."""
+    def _from_cumulative(cls, label: str, discs: np.ndarray, cumulative: np.ndarray) -> "DiscriminantTally":
+        """From distinct |disc| values and the running field counts up to each, after a
+        leading 0, which the caller guarantees ascending and positive; nothing is re-checked."""
         tally = cls.__new__(cls)
         tally.label = label
         tally._discs = discs
@@ -248,37 +261,47 @@ class DiscriminantTally:
         return tally
 
     @classmethod
-    def _from_sorted(cls, label: str, discs: list[int]) -> "DiscriminantTally":
+    def _from_sorted(cls, label: str, discs: np.ndarray) -> "DiscriminantTally":
         """One field per item of ``discs``, which the caller guarantees ascending and
-        positive; each run of equal values becomes one entry, found without a Python loop."""
-        ends_run = list(map(operator.ne, discs, islice(discs, 1, None)))
-        ends_run.append(True)
-        cumulative = list(compress(range(1, len(discs) + 1), ends_run))
-        return cls._from_cumulative(label, list(compress(discs, ends_run)), cumulative)
+        positive; each run of equal values becomes one entry."""
+        ends = np.flatnonzero(np.append(discs[1:] != discs[:-1], discs.size > 0))
+        return cls._from_cumulative(label, discs[ends], np.append(0, ends + 1))
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
-        """(|disc|, multiplicity) pairs, ascending in |disc|."""
-        counts = map(operator.sub, self._cumulative, chain((0,), self._cumulative))
-        return tuple(zip(self._discs, counts))
+        """(|disc|, multiplicity) pairs, ascending in |disc|, as Python ints."""
+        return tuple(zip(self._discs.tolist(), np.diff(self._cumulative).tolist()))
+
+    def largest_disc(self) -> int:
+        """The largest |disc| in the tally, which must not be empty."""
+        return int(self._discs[-1])
 
     def total(self) -> int:
-        return self._cumulative[-1] if self._cumulative else 0
+        return int(self._cumulative[-1])
 
     def count_up_to(self, x: int) -> int:
         """Z(x): number of fields with |disc| <= x."""
-        i = bisect.bisect_right(self._discs, x)
-        return self._cumulative[i - 1] if i else 0
+        return self._counts_up_to([x])[0]
+
+    def _counts_up_to(self, xs: list[int]) -> list[int]:
+        """Z(x) for each x of an ascending list, as Python ints, from one searchsorted.
+        Against int64 |disc| values, all in 1..2**63 - 1, an x below 0 counts no
+        field and an x from 2**63 counts all, so only the x between become int64."""
+        lo, hi = 0, len(xs)
+        if self._discs.dtype != object:
+            lo, hi = bisect.bisect_left(xs, 0), bisect.bisect_left(xs, 2**63)
+        at = np.searchsorted(self._discs, np.array(xs[lo:hi], dtype=self._discs.dtype), side="right")
+        return [0] * lo + self._cumulative[at].tolist() + [self.total()] * (len(xs) - hi)
 
     def __repr__(self) -> str:
-        return f"DiscriminantTally({self.label!r}, {len(self._discs)} discriminants, Z={self.total()})"
+        return f"DiscriminantTally({self.label!r}, {self._discs.size} discriminants, Z={self.total()})"
 
 
 def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, Z(x)) pairs on an ascending grid."""
     grid = list(grid)
     _require_ascending(grid)
-    return [(x, tally.count_up_to(x)) for x in grid]
+    return list(zip(grid, tally._counts_up_to(grid)))
 
 
 CENSUS_HEADER = "degree,group,abs_disc"
@@ -308,18 +331,114 @@ def read_census_records(stream: Union[str, TextIO, Iterable[str]]) -> list[Censu
 def ingest_census(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
     """Read a census of fields (one per line) and group it into tallies by label.
 
-    Repeated (label, abs_disc) records accumulate multiplicity.
+    Repeated (label, abs_disc) records accumulate multiplicity.  A text stream is
+    read whole with ``read()`` and split at "\\n", as iterating a file in text mode
+    or a StringIO splits it; a plain iterable's items are its lines.  Canonical
+    lines (see ``_canonical_census``) are read by one array pass over blocks of the
+    text, and any other text by the per-line reader ``_census_discs``, with
+    identical results; the per-line reader alone raises CensusFormatError.  Each
+    tally holds int64 arrays, or ``dtype=object`` arrays once a |disc| passes 2**63.
     """
-    grouped = _census_discs(stream)
-    for discs in grouped.values():
-        discs.sort()
+    if isinstance(stream, str):
+        text = lines = stream
+    elif hasattr(stream, "read"):
+        text, lines = stream.read(), None
+    else:
+        lines = list(stream)
+        text = "\n".join(line.removesuffix("\n") for line in lines)
+        if text.count("\n") >= len(lines):
+            text = ""  # an item with a newline inside is one line, as only the per-line reader reads it
+    grouped = _canonical_census(text)
+    if grouped is None:
+        lines = text.split("\n") if lines is None else lines
+        del text  # a stream's text is not needed once split
+        per_line = _census_discs(lines)
+        grouped = {label: np.sort(_exact_array(discs)) for label, discs in per_line.items()}
     return {label: DiscriminantTally._from_sorted(label, discs) for label, discs in grouped.items()}
+
+
+_CENSUS_BLOCK = 1 << 20  # characters per array block, before the cut at the next newline
+
+
+def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
+    """Sorted int64 abs_disc arrays by group label, in order of first appearance,
+    read a block of about ``_CENSUS_BLOCK`` characters at a time, each block cut
+    after a newline; None unless the first line is exactly CENSUS_HEADER and every
+    later line is canonical: empty, or three comma-separated fields, a degree
+    ``[1-9][0-9]*``, a label of printable ASCII (0x20-0x7E, no comma) with no space
+    at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads
+    each canonical line to the same values."""
+    if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
+        return None
+    parts: dict[str, list[np.ndarray]] = {}
+    start = len(CENSUS_HEADER) + 1
+    while start < len(text):
+        cut = text.find("\n", start + _CENSUS_BLOCK) + 1 or len(text)
+        try:
+            block = text[start:cut].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        groups = _canonical_block(block if block.endswith(b"\n") else block + b"\n")
+        if groups is None:
+            return None
+        for label, discs in groups:
+            parts.setdefault(label, []).append(discs)
+        start = cut
+    return {label: np.sort(np.concatenate(arrays)) for label, arrays in parts.items()}
+
+
+def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:
+    """(label, abs_disc values) for each label of a block of lines that each end in
+    a newline, labels in order of first appearance; None if a line is not canonical."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = buf == 0x0A
+    if not np.all(newline | ((buf >= 0x20) & (buf <= 0x7E))):
+        return None
+    ends = np.flatnonzero(newline)
+    starts = np.append(0, ends[:-1] + 1)
+    starts, ends = starts[ends > starts], ends[ends > starts]  # empty lines are skipped
+    commas = np.flatnonzero(buf == 0x2C)
+    first, second = commas[0::2], commas[1::2]
+    # 2 commas a line in all, and commas 2i and 2i + 1 inside line i: exactly two on each
+    if commas.size != 2 * ends.size or not np.all((starts <= first) & (second < ends)):
+        return None
+    if not ends.size:
+        return []
+    # whether each of [start, first), [first, second + 1), [second + 1, end) is all digits;
+    # an empty field reads the comma or newline at its start instead, which is no digit
+    edges = np.stack([starts, first, second + 1, ends], axis=1).ravel()
+    digits = np.logical_and.reduceat((buf >= 0x30) & (buf <= 0x39), edges).reshape(-1, 4)
+    width = ends - second - 1
+    degree_ok = digits[:, 0] & (buf[starts] != 0x30)
+    label_ok = (second > first + 1) & (buf[first + 1] != 0x20) & (buf[second - 1] != 0x20)
+    disc_ok = digits[:, 2] & (width <= 18) & (buf[second + 1] != 0x30)
+    if not np.all(degree_ok & label_ok & disc_ok):
+        return None
+    value = np.zeros(ends.size, dtype=np.int64)
+    for k in range(int(width.max())):  # digit column k from the right; below 10**18, so int64 is exact
+        has = width > k
+        value[has] += (buf[ends[has] - 1 - k] - 0x30).astype(np.int64) * 10**k
+    # labels as fixed-width S{w} keys, one width at a time, so no label is padded
+    label_start, label_width = first + 1, second - first - 1
+    by_width = np.argsort(label_width, kind="stable")
+    groups = []
+    for lines in np.split(by_width, np.flatnonzero(np.diff(label_width[by_width])) + 1):
+        w = int(label_width[lines[0]])
+        keys = buf[label_start[lines, None] + np.arange(w)].view(f"S{w}").ravel()
+        labels, first_line, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        members = np.split(lines[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
+        groups += zip(lines[first_line].tolist(), labels.tolist(), members)
+    groups.sort(key=lambda group: group[0])
+    return [(label.decode("ascii"), value[m]) for _, label, m in groups]
 
 
 def _census_discs(
     stream: Union[str, TextIO, Iterable[str]], records: Optional[list[CensusRecord]] = None
 ) -> dict[str, list[int]]:
-    """abs_disc values by group label, in file order, from one pass over the lines.
+    """abs_disc values by group label, in file order, from one pass over the lines:
+    the per-line reader, which reads every census that ``_canonical_census``
+    declines and which ``read_census_records`` uses.  It reads a canonical line to
+    the same values as the array pass.
 
     A ``str`` is split with ``splitlines()``; any other stream is read whole, one
     item per line as iterating it gives, before the first line is checked.  Each

@@ -1,10 +1,13 @@
 """Property test of census ingestion against the one-record-per-line reference."""
 
 import io
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from galcount import fields
 from galcount.fields import CENSUS_HEADER, CensusFormatError, ingest_census, read_census_records
 
 from oracles import ingest_census_slow, read_census_records_slow
@@ -60,7 +63,64 @@ def census_texts(draw):
     return text.rstrip("\n") if draw(st.booleans()) else text
 
 
-GRID = [0, 1, 2, 3, 5, 8, 13, 21, 40, 3000, 2**63 - 1, 2**63, 2**64, 2**66, 2**70]
+# Canonical lines are read by the array pass, everything else by the per-line
+# reader; a canonical text with a near miss on one line exercises the decline.
+PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) != ",")
+CANONICAL_LABEL = st.text(PRINTABLE, min_size=1, max_size=5).filter(lambda s: s == s.strip(" "))
+CANONICAL_LINE = st.one_of(
+    st.tuples(
+        st.integers(1, 12).map(str),
+        st.sampled_from(["S3", "C3", "D4", "C2xC2", "S 3"]),
+        st.integers(1, 3000).map(str),
+    ).map(",".join),
+    st.tuples(
+        st.integers(1, 10**30).map(str),
+        CANONICAL_LABEL,
+        st.integers(1, 10**18 - 1).map(str),
+    ).map(",".join),
+    st.just(""),
+)
+NEAR_MISSES = [
+    "03,S3,23",  # leading zeros
+    "0,S3,23",
+    "3,S3,023",
+    f"3,S3,{10**18 - 1}",  # the largest canonical abs_disc
+    f"3,S3,{10**18}",  # 19 digits
+    f"3,S3,{2**63}",
+    "3,S 3,23",  # an inner space is canonical
+    "3, S3,23",
+    "3,S3 ,23",
+    " 3,S3,23",
+    "3,S\x7f3,23",
+    "3,S3\x1f,23",
+    "3,S\u00e93,23",
+    "3,S3,23\r",
+    "\t",
+    "3,,23",
+    "3,S3,",
+    ",S3,23",
+    "x,S3,23",
+    "3,S3,2x3",
+    "3,S3,2,3",
+    "3,S3,0",
+]
+NEAR_MISS = st.sampled_from(NEAR_MISSES)
+
+
+@st.composite
+def canonical_texts(draw):
+    """Mostly canonical censuses: the exact header, then canonical lines and, in some
+    texts, one near miss; a repeated line and a missing final newline now and then."""
+    lines = draw(st.lists(CANONICAL_LINE, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NEAR_MISS))
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))
+    text = "\n".join([CENSUS_HEADER] + lines)
+    return text if draw(st.booleans()) else text + "\n"
+
+
+GRID = [0, 1, 2, 3, 5, 8, 13, 21, 40, 3000, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 2**64, 2**66, 2**70]
 
 
 def outcome(ingest, source):
@@ -73,7 +133,7 @@ def outcome(ingest, source):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(census_texts())
+@given(st.one_of(census_texts(), canonical_texts()))
 @example(f"{CENSUS_HEADER}\r\n3,S3,\x1c23\x1f\r\n\r\n \t\r\n+3, C3 ,3_000\r\n3,S3,\u0663\n3,S3,23")
 @example(f"{CENSUS_HEADER}\n3,S3,{2**64 + 1}\n3,S3,{2**63}\n3,S3,{2**64 + 1}\n3,C3,{2**70}\n")
 @example(f"{CENSUS_HEADER}\n3,S3,5\n3,,7\n")
@@ -82,9 +142,11 @@ def outcome(ingest, source):
 @example(f"{CENSUS_HEADER}\n3,S3,-4\n")
 @example(f"{CENSUS_HEADER}\n3,S3\n3,S3,5,6\n")
 def test_ingest_matches_reference(text):
-    for source in (lambda: text, lambda: io.StringIO(text)):
+    for source in (lambda: text, lambda: io.StringIO(text), lambda: io.StringIO(text).readlines()):
         want = outcome(ingest_census_slow, source())
         assert outcome(ingest_census, source()) == want
+        with mock.patch.object(fields, "_CENSUS_BLOCK", 16):  # several blocks, each cut at a newline
+            assert outcome(ingest_census, source()) == want
         try:
             records = read_census_records_slow(source())
         except CensusFormatError as exc:
@@ -95,3 +157,45 @@ def test_ingest_matches_reference(text):
             discs = [r.abs_disc for r in records if r.group_label == label]
             assert total == len(discs)
             assert counts == [sum(d <= x for d in discs) for x in GRID]
+
+
+def canonical_census(lines: int) -> str:
+    """A canonical census of several labels and widths, blank lines and repeats included."""
+    labels = ["S3", "C3", "D4", "C2xC2", "S 3", "T"]
+    rows = [CENSUS_HEADER]
+    for i in range(lines):
+        rows.append("" if i % 17 == 5 else f"{3 + i % 2},{labels[i * 7 % 6]},{(i * 7919) % 100_003 + 1}")
+    return "\n".join(rows + [f"3,S3,{10**18 - 1}", f"3,S3,{10**18 - 1}"])  # no final newline
+
+
+def test_canonical_census_never_reaches_the_per_line_reader(monkeypatch):
+    text = canonical_census(500)
+    sources = (lambda: text, lambda: io.StringIO(text), lambda: io.StringIO(text).readlines(), text.splitlines)
+    want = [outcome(ingest_census_slow, source()) for source in sources]
+
+    def per_line(*args, **kwargs):
+        raise AssertionError("a canonical census reached the per-line reader")
+
+    monkeypatch.setattr(fields, "_census_discs", per_line)
+    for block in (fields._CENSUS_BLOCK, 64):
+        monkeypatch.setattr(fields, "_CENSUS_BLOCK", block)
+        assert [outcome(ingest_census, source()) for source in sources] == want
+
+
+@pytest.mark.parametrize("bad", ["3,S3,12x"] + NEAR_MISSES)
+def test_line_past_the_first_block(monkeypatch, bad):
+    # the array pass declines in a later block; the per-line reader then reads the whole text
+    rows = canonical_census(400).split("\n")
+    rows.insert(300, bad)
+    text = "\n".join(rows) + "\n"
+    monkeypatch.setattr(fields, "_CENSUS_BLOCK", 256)
+    for source in (lambda: text, lambda: io.StringIO(text)):
+        want = outcome(ingest_census_slow, source())
+        assert outcome(ingest_census, source()) == want
+    if bad == "3,S3,12x":
+        assert want == "line 301: non-integer field"
+
+
+def test_iterable_item_with_a_newline_inside_is_one_line():
+    lines = [CENSUS_HEADER, "3,S3,5\n3,S3,7", "3,C3,9"]
+    assert outcome(ingest_census, lines) == outcome(ingest_census_slow, lines) == "line 2: expected 3 comma-separated fields"

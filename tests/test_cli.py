@@ -288,6 +288,17 @@ def test_census_default_grid_on_a_small_census(tmp_path, capsys):
     assert code == 0 and out == "x,count\n1,0\n2,0\n3,1\n4,2\n6,3\n8,4\n"
 
 
+def test_census_default_grid_reads_the_largest_disc(tmp_path, capsys, monkeypatch):
+    # twelve points from 1 to the largest |disc|, read without building the (|disc|, count) pairs
+    discs = [(i * 7919) % 1_000_003 + 1 for i in range(2000)]
+    path = tmp_path / "census.csv"
+    path.write_text("degree,group,abs_disc\n" + "".join(f"3,S3,{d}\n" for d in discs), encoding="utf-8")
+    grid = fitting.geometric_grid(1, max(discs), 12)
+    want = "x,count\n" + "".join(f"{x},{sum(d <= x for d in discs)}\n" for x in grid)
+    monkeypatch.setattr(fields.DiscriminantTally, "entries", property(lambda self: 1 / 0))
+    assert run_cli(capsys, "count", "census", "--label", "S3", "--file", str(path)) == (0, want, "")
+
+
 def test_allocation_failure_exit_2(capsys, monkeypatch):
     # the conductor table up to 1e15 would take 7 PiB
     code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "3", "--grid", "1000:1e30:3")

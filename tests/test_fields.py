@@ -96,6 +96,19 @@ def test_cyclic_tally_against_recursive_walk():
         assert cyclic_tally(ell, xmax).entries == expected
 
 
+@pytest.mark.parametrize("ell", [5, 7])
+def test_cyclic_tally_past_int64(ell):
+    # f**(ell - 1) passes 2**63 below 10**20, where an int64 power would wrap
+    xmax = 10**20
+    conductors = cyclic_conductors_slow(ell, introot(xmax, ell - 1))
+    expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
+    assert expected[-1][0] > 2**63
+    tally = cyclic_tally(ell, xmax)
+    assert tally.entries == expected
+    for x in (2**63 - 1, 2**63, expected[-1][0] - 1, xmax, 2**70):
+        assert tally.count_up_to(x) == sum(m for d, m in expected if d <= x)
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
 def test_cyclic_large_q_scatter_against_oracles(ell):
     # below ell**4, q = ell**2 is above sqrt(fmax) and joins the scatter with the large split primes
@@ -213,6 +226,21 @@ def test_tally_basics():
         DiscriminantTally("bad", [(81, 1), (49, 1)])
     with pytest.raises(ValueError):
         DiscriminantTally("bad", [(0, 1)])
+
+
+def test_tally_counts_beyond_int64():
+    small = DiscriminantTally("small", [(49, 2), (2**63 - 1, 1)])
+    big = DiscriminantTally("big", [(49, 2), (2**63, 1), (2**70, 3)])
+    assert small.entries == ((49, 2), (2**63 - 1, 1)) and big.entries == ((49, 2), (2**63, 1), (2**70, 3))
+    for x, want_small, want_big in [(-(2**70), 0, 0), (-1, 0, 0), (48, 0, 0), (49, 2, 2), (2**63 - 1, 3, 2),
+                                    (2**63, 3, 3), (2**70 - 1, 3, 3), (2**70, 3, 6), (2**80, 3, 6)]:
+        assert (small.count_up_to(x), big.count_up_to(x)) == (want_small, want_big), x
+    assert all(type(v) is int for v in (small.total(), big.total(), small.count_up_to(50), *big.entries[1]))
+    grid = [-(2**70), -1, 0, 49, 2**63 - 1, 2**63, 2**70, 2**80]
+    for tally in (small, big, DiscriminantTally("none", [])):
+        samples = tally_samples(tally, grid)
+        assert samples == [(x, tally.count_up_to(x)) for x in grid]
+        assert all(type(z) is int for _, z in samples)
 
 
 def test_read_census_records():
