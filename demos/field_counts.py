@@ -16,7 +16,7 @@ from galcount import (
 )
 
 print("Fundamental discriminants with |d| <= 30:")
-print(" ", fundamental_discriminants(30))
+print(" ", fundamental_discriminants(30).tolist())
 print(f"Quadratic fields with |disc| <= 1e6: {count_quadratic(10**6)}")
 
 print()

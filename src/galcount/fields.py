@@ -24,6 +24,7 @@ class CensusFormatError(ValueError):
 
 
 _IntOrArray = Union[int, np.ndarray]  # an exact int, or int64 values elementwise
+_QUADRATIC_BLOCK = 1 << 16  # odd d per block of the S(y) dot product in ``quadratic_samples``
 
 
 def _discriminant(s: _IntOrArray) -> _IntOrArray:
@@ -34,17 +35,15 @@ def _discriminant(s: _IntOrArray) -> _IntOrArray:
     return s * (4 - 3 * (s % 4 == 1))
 
 
-def fundamental_discriminants(x: int) -> list[int]:
-    """All fundamental discriminants d != 1 with |d| <= x, sorted by (|d|, sign).
+def fundamental_discriminants(x: int) -> np.ndarray:
+    """All fundamental discriminants d != 1 with |d| <= x, as an int64 array sorted by (|d|, sign).
 
     These are the discriminants of Q(sqrt(s)) for the squarefree s = +-m != 1.
     """
-    if x < 1:
-        return []
-    m = np.flatnonzero(squarefree_sieve(x))
+    m = np.flatnonzero(squarefree_sieve(max(x, 1)))
     d = _discriminant(np.stack([m, -m], axis=1).ravel()[1:])  # [1:] drops s = +1
     d = d[np.abs(d) <= x]
-    return d[np.lexsort((d, np.abs(d)))].tolist()
+    return d[np.lexsort((d, np.abs(d)))]
 
 
 def count_quadratic(x: int) -> int:
@@ -61,20 +60,26 @@ def count_quadratic(x: int) -> int:
 
 
 def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
-    """(x, count) pairs on an ascending grid, sharing one Möbius sieve up to sqrt(max(grid))."""
+    """(x, count) pairs on an ascending grid, sharing one Möbius sieve up to sqrt(max(grid)).
+    Each S(y) is the int8 mu(d) dot ceil(floor(y / d^2) / 2) over odd d, ``_QUADRATIC_BLOCK``
+    d at a time; no term or partial sum exceeds y, so int64 is exact up to 2**63 - 1, and a
+    larger x raises ValueError before anything is sieved."""
     grid = list(grid)
     _require_ascending(grid)
+    if grid[-1] > 2**63 - 1:
+        raise ValueError(f"quadratic counts need |disc| <= 2**63 - 1, got {grid[-1]}")
     mu = mobius(math.isqrt(max(grid[-1], 1)))
 
     def odd_squarefree(y: int) -> int:
-        return sum(mu[d] * ((y // (d * d) + 1) // 2) for d in range(1, math.isqrt(y) + 1, 2))
+        total, stop = 0, math.isqrt(y) + 1
+        for start in range(1, stop, 2 * _QUADRATIC_BLOCK):
+            d = np.arange(start, min(start + 2 * _QUADRATIC_BLOCK, stop), 2, dtype=np.int64)
+            q = y // (d * d)
+            total += int(np.dot(mu[d], q - q // 2))  # q - q // 2 is ceil(q / 2) with nothing above q
+        return total
 
-    def count(x: int) -> int:
-        if x < 1:
-            return 0
-        return odd_squarefree(x) - 1 + odd_squarefree(x // 4) + 2 * odd_squarefree(x // 8)
-
-    return [(x, count(x)) for x in grid]
+    counts = (odd_squarefree(x) - 1 + odd_squarefree(x // 4) + 2 * odd_squarefree(x // 8) if x > 0 else 0 for x in grid)
+    return list(zip(grid, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,8 @@ def compose_discriminants(d1: _IntOrArray, d2: _IntOrArray) -> _IntOrArray:
     return _discriminant((s1 // g) * (s2 // g))
 
 
-def biquadratic_discs(xmax: int) -> list[int]:
-    """Sorted |disc| values of the biquadratic fields with |disc| <= xmax.
+def biquadratic_discs(xmax: int) -> np.ndarray:
+    """|disc| values of the biquadratic fields with |disc| <= xmax, as a sorted int64 array.
 
     Each field corresponds to one unordered triple of distinct fundamental
     discriminants closed under composition; |disc| is the product of their
@@ -187,10 +192,10 @@ def biquadratic_discs(xmax: int) -> list[int]:
     2**63 - 1 raises ValueError before anything is sieved.
     """
     if xmax < 144:  # smallest triple is {-3, -4, 12}
-        return []
+        return np.zeros(0, dtype=np.int64)
     if xmax > 2**63 - 1:
         raise ValueError(f"biquadratic counts need |disc| <= 2**63 - 1, got {xmax}")
-    discs = np.array(fundamental_discriminants(math.isqrt(xmax // 3)), dtype=np.int64)
+    discs = fundamental_discriminants(math.isqrt(xmax // 3))
     sizes = np.abs(discs)
     found = []
     for i, (d1, a1) in enumerate(zip(discs.tolist(), sizes.tolist())):
@@ -203,18 +208,16 @@ def biquadratic_discs(xmax: int) -> list[int]:
         # keep a triple only from its two smallest members, and only if |disc| <= xmax
         keep = ((a3 > a2) | ((a3 == a2) & (d3 > d2))) & (a3 <= xmax // (a1 * a2))
         found.append(a1 * a2[keep] * a3[keep])
-    return np.sort(np.concatenate(found)).tolist()
+    return np.sort(np.concatenate(found))
 
 
 def count_biquadratic(x: int) -> int:
     """Number of biquadratic (Klein four-group) fields with |disc| <= x."""
-    if x < 1:
-        return 0
     return len(biquadratic_discs(x))
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":
-    return DiscriminantTally._from_sorted("C2xC2", np.array(biquadratic_discs(xmax), dtype=np.int64))
+    return DiscriminantTally._from_sorted("C2xC2", biquadratic_discs(xmax))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self.cap = cap
+        # the generators as a (k, degree) image array: uint8 up to 256 points, then uint16, then uint32
+        self._rows = np.array([g.images for g in generators], dtype=np.min_scalar_type(degree - 1))
         self._orbits: Optional[np.ndarray] = None
         self._chain: Optional[list[_Level]] = None
         self._enumeration: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -268,16 +270,12 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def _generator_rows(self) -> np.ndarray:
-        dtype = np.min_scalar_type(self.degree - 1)  # uint8 up to 256 points, then uint16, then uint32
-        return np.array([g.images for g in self.generators], dtype=dtype)
-
     def _orbit_minima(self) -> np.ndarray:
         """The least point of each point's orbit."""
-        return self._cached("_orbits", lambda: component_minima(self._generator_rows()))
+        return self._cached("_orbits", lambda: component_minima(self._rows))
 
     def _stabilizer_chain(self) -> list[_Level]:
-        return self._cached("_chain", lambda: _schreier_sims(self._generator_rows()))
+        return self._cached("_chain", lambda: _schreier_sims(self._rows))
 
     def order(self) -> int:
         """|G|, the product of the stabilizer chain's orbit lengths; never enumerates."""
@@ -294,7 +292,7 @@ class PermGroup:
     def contains(self, rows) -> np.ndarray:
         """Whether each row of a (k, degree) image array is an element, by sifting through the chain."""
         chain = self._stabilizer_chain()
-        rows = np.asarray(rows, dtype=self._generator_rows().dtype).reshape(-1, self.degree)
+        rows = np.asarray(rows, dtype=self._rows.dtype).reshape(-1, self.degree)
         identity = np.arange(self.degree, dtype=rows.dtype)
         step = max(1, _IND_CHUNK // self.degree)
         out = np.zeros(len(rows), dtype=bool)
@@ -315,7 +313,7 @@ class PermGroup:
         """Runs of BFS levels of a group of order len(positions), the identity's alone first; positions[rank(g)],
         all -1 at first, becomes g's position.  A run's later levels keep repeats, as products of a repeat are
         never first occurrences; it holds at most as many rows as were reached, so stopping early costs <= 2x."""
-        chain, gens, n = self._stabilizer_chain(), self._generator_rows(), self.degree
+        chain, gens, n = self._stabilizer_chain(), self._rows, self.degree
         level, reached = np.arange(n, dtype=gens.dtype)[None, :], 0
         while True:
             levels, rows = [level], len(level)
@@ -355,7 +353,7 @@ class PermGroup:
         """
         images = self.image_array()
         # argsort inverts each generator's image row, and x[inverse] is x * g_j^-1
-        inverses = np.argsort([g.images for g in self.generators], axis=1)
+        inverses = np.argsort(self._rows, axis=1)
         word = []
         while k:
             k, j = min((int(position), j) for j, position in enumerate(self.index(images[k][inverses])))
@@ -378,7 +376,7 @@ class PermGroup:
         if order == 1:
             return None, 0
         floor, ball = 1, 1  # no element has ind below floor, and ball counts the permutations that do
-        sphere = np.arange(self.degree, dtype=self._generator_rows().dtype)[None, :]
+        sphere = np.arange(self.degree, dtype=self._rows.dtype)[None, :]
         while ball + sphere_size(self.degree, floor) <= order:
             sphere = next_sphere(sphere)
             if self.contains(sphere).any():

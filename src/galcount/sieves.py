@@ -50,8 +50,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mobius(limit: int) -> list[int]:
-    """mu[n] for n = 0..limit as Python ints (mu[0] = 0).
+def mobius(limit: int) -> np.ndarray:
+    """mu[n] for n = 0..limit as an int8 array (mu[0] = 0).
 
     Only primes p <= sqrt(limit) are sieved, each dividing out of rest[n] = n
     once; a squarefree n left with rest[n] > 1 has one more prime factor, above
@@ -67,8 +67,7 @@ def mobius(limit: int) -> list[int]:
         mu[p * p :: p * p] = 0
         rest[p::p] //= p
     mu[rest > 1] *= -1
-    del rest  # freed before the list, which is the peak
-    return mu.tolist()
+    return mu
 
 
 def squarefree_sieve(limit: int) -> np.ndarray:

@@ -163,13 +163,13 @@ def test_criterion_4_index_domination():
 
 def test_criterion_5_counting_oracles():
     with criterion(5, "quadratic / cyclic-cubic / biquadratic counts match brute force to 1e5"):
-        assert fields.fundamental_discriminants(10**5) == fundamental_discriminants_slow(10**5)
+        assert fields.fundamental_discriminants(10**5).tolist() == fundamental_discriminants_slow(10**5)
 
         fmax = math.isqrt(10**5)
         expected = cyclic_conductor_table_slow(3, fmax)
         assert fields.cyclic_conductors(3, fmax) == expected
 
-        assert fields.biquadratic_discs(10**5) == biquadratic_discs_slow(10**5)
+        assert fields.biquadratic_discs(10**5).tolist() == biquadratic_discs_slow(10**5)
 
         assert fields.count_quadratic(10) == 6
         assert fields.count_cyclic_ell(3, 3969) == 10

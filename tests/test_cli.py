@@ -322,6 +322,17 @@ def test_count_biquadratic_beyond_int64_exit_2(capsys, monkeypatch):
     assert err == "error: biquadratic counts need |disc| <= 2**63 - 1, got 10000000000000000000\n"
 
 
+def test_count_quadratic_beyond_int64_exit_2(capsys, monkeypatch):
+    # refused before the Möbius sieve to sqrt(1e19), about 3.2 GB of int8, is allocated
+    def refuse(limit):
+        raise AssertionError("sieve started")
+
+    monkeypatch.setattr(fields, "mobius", refuse)
+    code, out, err = run_cli(capsys, "count", "quadratic", "--grid", "1000:1e19:3")
+    assert (code, out) == (2, "")
+    assert err == "error: quadratic counts need |disc| <= 2**63 - 1, got 10000000000000000000\n"
+
+
 def test_fit_sample_beyond_float_range_exit_6(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_text(f"x,count\n10,3\n20,5\n{10**400},7\n", encoding="utf-8")

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from galcount import fields
 from galcount.fields import (
     CensusFormatError,
     DiscriminantTally,
@@ -32,13 +33,17 @@ from oracles import (
 
 
 def test_fundamental_discriminants_small():
-    assert fundamental_discriminants(10) == [-3, -4, 5, -7, -8, 8]
-    assert fundamental_discriminants(3) == [-3]
-    assert fundamental_discriminants(1) == []
+    assert fundamental_discriminants(10).tolist() == [-3, -4, 5, -7, -8, 8]
+    assert fundamental_discriminants(3).tolist() == [-3]
+    for x in (1, 0, -5):
+        empty = fundamental_discriminants(x)
+        assert empty.dtype == np.int64 and empty.tolist() == []
 
 
 def test_fundamental_discriminants_against_bruteforce():
-    assert fundamental_discriminants(20_000) == fundamental_discriminants_slow(20_000)
+    discs = fundamental_discriminants(20_000)
+    assert discs.dtype == np.int64 and (np.diff(np.abs(discs)) >= 0).all()
+    assert discs.tolist() == fundamental_discriminants_slow(20_000)
 
 
 def test_count_quadratic():
@@ -53,6 +58,16 @@ def test_count_quadratic():
     assert count_quadratic(10**7) == 6_079_285
     assert count_quadratic(3 * 10**7) == 18_237_811
     assert count_quadratic(10**12) == 607_927_101_751
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_quadratic_samples_at_square_boundaries(monkeypatch, block):
+    # S(y) changes at the y = d^2, and the count reads S at x, x // 4 and x // 8; with
+    # a block of 1 or 3 odd d, every sum over more than that many d crosses block seams
+    monkeypatch.setattr(fields, "_QUADRATIC_BLOCK", block)
+    grid = sorted({k * m * m + e for m in range(1, 102, 2) for k in (1, 4, 8) for e in (-1, 0, 1)})
+    abs_discs = [abs(d) for d in fundamental_discriminants_slow(grid[-1])]
+    assert quadratic_samples(grid) == [(x, bisect.bisect_right(abs_discs, x)) for x in grid]
 
 
 def test_quadratic_samples_nonpositive_grid_points():
@@ -174,7 +189,9 @@ def test_count_biquadratic_small():
 
 @pytest.mark.parametrize("x", [143, 144, 224, 225, 256, 30_000, 10**5])
 def test_biquadratic_against_square_triple_oracle(x):
-    assert biquadratic_discs(x) == biquadratic_discs_slow(x)
+    discs = biquadratic_discs(x)
+    assert discs.dtype == np.int64 and (np.diff(discs) >= 0).all()
+    assert discs.tolist() == biquadratic_discs_slow(x)
 
 
 def _random_fundamental_discriminants(rng: random.Random, count: int, bound: int) -> list[int]:

@@ -55,12 +55,13 @@ def test_mobius_against_factorization():
     limit = 10_000
     spf = spf_table(limit)
     expected = [0] + [_mobius(n, spf) for n in range(1, limit + 1)]
-    assert mobius(limit) == expected
-    assert mobius(0) == [0] and mobius(1) == [0, 1]
+    mu = mobius(limit)
+    assert mu.dtype == np.int8 and mu.tolist() == expected
+    assert mobius(0).tolist() == [0] and mobius(1).tolist() == [0, 1]
     for small in range(1, 51):
-        assert mobius(small) == expected[: small + 1]
+        assert mobius(small).tolist() == expected[: small + 1]
     # 2 * 4999 > sqrt(9998): the prime factor above the sieved range flips the sign
-    assert mobius(9998) == expected[:9999] and expected[9998] == 1
+    assert mobius(9998).tolist() == expected[:9999] and expected[9998] == 1
     assert mobius(4999)[4999] == -1
 
 
