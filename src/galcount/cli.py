@@ -124,6 +124,8 @@ def _family_samples(args) -> list[tuple[int, int]]:
         if args.grid:
             grid = _parse_grid(args.grid)
         else:
+            if 4 * (ell - 1) > sys.float_info.max_10_exp:  # refused before the default top 10_000 ** (ell - 1) is formed
+                raise ValueError("grid values must lie in the float range, below about 1.8e308")
             first = (2 * ell + 1) ** (ell - 1)
             grid = fitting.geometric_grid(first, 10_000 ** (ell - 1), 12)
         tally = fields.cyclic_tally(ell, grid[-1])
@@ -191,7 +193,10 @@ def _cmd_fit(args) -> int:
     if log_power is None:
         log_power = "fit" if args.family == "biquadratic" else 0.0
     elif log_power != "fit":
-        log_power = float(log_power)
+        try:
+            log_power = float(log_power)
+        except ValueError:
+            raise GroupSpecError(f"--log-power must be 'fit' or a finite number, got {log_power!r}") from None
     result = fitting.fit_exponent(samples, log_power=log_power)
     verdict = None
     if args.predict:  # before anything prints, so a refused prediction prints no fit either
@@ -304,6 +309,8 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap < 1:
+        parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     try:
         return args.fn(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

@@ -111,17 +111,23 @@ def direct_product(h: PermGroup, z: PermGroup) -> PermGroup:
 def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
     """Imprimitive wreath action on deg(a) * deg(h) points in deg(h) blocks.
 
-    One copy of each a-generator acts in block 0; h-generators permute the
-    blocks rigidly.  An order |a|^deg(h) * |h| over the cap is refused before
-    any image is built, and the result's stabilizer chain is checked to give
-    that order.
+    One copy of each a-generator acts in the least block of each h-orbit (block 0
+    alone when h is transitive), so the h-generators, which permute the blocks
+    rigidly, carry a copy into every block.  An order |a|^deg(h) * |h| over the
+    cap is refused before any image is built, and the result's stabilizer chain
+    is checked to give that order.
     """
     cap = max(a.cap, h.cap)
     expected = a.order_within_cap() ** h.degree * h.order_within_cap()
     if expected > cap:
         raise EnumerationCapError(f"wreath product order {expected} exceeds cap {cap}")
     grid = np.arange(a.degree * h.degree).reshape(h.degree, a.degree)  # row b is block b
-    images = [np.concatenate([g.images, grid[1:].ravel()]) for g in a.generators]
+    roots = np.unique(component_minima(np.array([g.images for g in h.generators])))  # least block of each h-orbit
+    images = [
+        np.where(np.arange(h.degree)[:, None] == root, grid[:, g.images], grid).ravel()
+        for root in roots
+        for g in a.generators
+    ]
     images += [grid[g.images, :].ravel() for g in h.generators]
     result = PermGroup(grid.size, [Perm(i.tolist()) for i in images], cap)
     got = result.order()

@@ -30,7 +30,7 @@ class FitResult:
     sample_count: int
     dropped: int
     b_fitted: bool
-    loo_max_shift: float  # max |a_hat change| over leave-one-out refits; nan if untestable
+    loo_max_shift: float  # max |a_hat change| when one sample is left out; nan if untestable
 
 
 @dataclass(frozen=True)
@@ -64,31 +64,31 @@ def geometric_grid(x_min: int, x_max: int, points: int) -> list[int]:
     return out
 
 
-def _solve_ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _fit_core(xs: np.ndarray, zs: np.ndarray, log_power: LogPower) -> tuple[float, float, float, float, np.ndarray]:
+    """One least-squares solve: a_hat, c_hat, b, the rms residual, and each sample's leave-one-out shift of a_hat.
+
+    Dropping sample i moves the coefficients by (X^T X)^-1 x_i e_i / (1 - h_ii), with e_i its residual and
+    h_ii its leverage (the DFBETA identity), so no refit is needed.
+    """
+    logx, target = np.log(xs), np.log(zs)
+    columns = [np.ones_like(logx), logx]
+    if log_power == "fit":
+        columns.append(np.log(logx))
+    elif float(log_power) != 0.0:
+        target = target - float(log_power) * np.log(logx)
+    design = np.column_stack(columns)
     gram = design.T @ design
     if np.linalg.matrix_rank(gram) < design.shape[1]:
         raise ValueError("collinear design: samples cannot separate the fit parameters")
-    return np.linalg.solve(gram, design.T @ y)
-
-
-def _fit_core(xs: np.ndarray, zs: np.ndarray, log_power: LogPower) -> tuple[float, float, float, float]:
-    logx = np.log(xs)
-    logz = np.log(zs)
-    if log_power == "fit":
-        design = np.column_stack([np.ones_like(logx), logx, np.log(logx)])
-        coeffs = _solve_ols(design, logz)
-        intercept, a_hat, b = coeffs
-    else:
-        b = float(log_power)
-        target = logz - b * np.log(logx) if b != 0.0 else logz
-        design = np.column_stack([np.ones_like(logx), logx])
-        coeffs = _solve_ols(design, target)
-        intercept, a_hat = coeffs
-        if b != 0.0:
-            logz = target
-    residuals = logz - design @ coeffs
+    coeffs = np.linalg.solve(gram, design.T @ target)
+    residuals = target - design @ coeffs
+    spread = np.linalg.solve(gram, design.T)  # column i is (X^T X)^-1 x_i
+    leverages = np.einsum("ij,ji->i", design, spread)
+    with np.errstate(divide="ignore", invalid="ignore"):  # h_ii = 1 only where a removal leaves too few distinct x
+        shifts = np.abs(spread[1] * residuals / (1 - leverages))
+    b = coeffs[2] if log_power == "fit" else float(log_power)
     rms = float(np.sqrt(np.mean(residuals**2)))
-    return float(a_hat), float(math.exp(intercept)), float(b), rms
+    return float(coeffs[1]), float(math.exp(coeffs[0])), float(b), rms, shifts
 
 
 def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0.0) -> FitResult:
@@ -97,7 +97,8 @@ def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0
     log_power fixes b to a finite number or fits it with "fit".  Samples with Z = 0
     are dropped (log undefined, and leading zeros carry no slope information),
     as are samples with x <= 1 whenever b is involved.  At least 3 usable
-    samples with distinct x are required.
+    samples with distinct x are required.  loo_max_shift skips each sample whose
+    removal leaves fewer than 3 distinct x, so it needs at least 4 samples.
     """
     if log_power != "fit" and not math.isfinite(float(log_power)):
         raise ValueError(f"log power must be 'fit' or a finite number, got {log_power!r}")
@@ -108,29 +109,16 @@ def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0
         if z > 0 and x >= 1 and not (needs_loglog and x <= 1)
     ]
     dropped = len(samples) - len(usable)
-    if len({x for x, _ in usable}) < 3:
+    xs = np.array([x for x, _ in usable])
+    zs = np.array([z for _, z in usable])
+    distinct, which, repeats = np.unique(xs, return_inverse=True, return_counts=True)
+    if len(distinct) < 3:
         raise InsufficientSamplesError(
             f"need at least 3 usable samples with distinct x, have {len(usable)}"
         )
-    xs = np.array([x for x, _ in usable])
-    zs = np.array([z for _, z in usable])
-    a_hat, c_hat, b, rms = _fit_core(xs, zs, log_power)
-
-    loo = math.nan
-    if len(usable) >= 4:
-        shifts = []
-        for i in range(len(usable)):
-            mask = np.ones(len(usable), dtype=bool)
-            mask[i] = False
-            if len(set(xs[mask].tolist())) < 3:
-                continue
-            try:
-                a_i, _, _, _ = _fit_core(xs[mask], zs[mask], log_power)
-            except ValueError:
-                continue
-            shifts.append(abs(a_i - a_hat))
-        if shifts:
-            loo = max(shifts)
+    a_hat, c_hat, b, rms, shifts = _fit_core(xs, zs, log_power)
+    # distinct x left without each sample: 2 for every sample of a 3-sample fit, whose loo_max_shift is nan
+    remaining = len(distinct) - (repeats[which] == 1)
     return FitResult(
         a_hat=a_hat,
         c_hat=c_hat,
@@ -139,7 +127,7 @@ def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0
         sample_count=len(usable),
         dropped=dropped,
         b_fitted=log_power == "fit",
-        loo_max_shift=loo,
+        loo_max_shift=float(max(shifts[remaining >= 3], default=math.nan)),
     )
 
 

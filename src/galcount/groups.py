@@ -367,21 +367,27 @@ class PermGroup:
     def _min_index(self) -> tuple[Optional[np.ndarray], int]:
         """The first element of least ind in BFS order and that ind; (None, 0) for the trivial group.
 
-        First the chain bounds the least ind from below: sphere j, the permutations of ind j, is
-        sifted for j = 1, 2, ... while the ball of ind <= j is no larger than |G|, and the first
-        sphere holding an element gives the least ind.  Then the BFS walks until an element
-        reaches that bound, which is the whole BFS only when the sifting stopped below it.
+        First the least ind is bounded from below.  A regular action (transitive, |G| = degree)
+        has it in closed form: every cycle of g has length ord(g), so ind(g) = n - n/ord(g), and
+        by Cauchy's theorem the least is n - n/p for the least prime p dividing n.  Otherwise the
+        chain bounds it: sphere j, the permutations of ind j, is sifted for j = 1, 2, ... while the
+        ball of ind <= j is no larger than |G|, and the first sphere holding an element gives the
+        least ind.  Then the BFS walks until an element reaches that bound, which is the whole BFS
+        only when the sifting stopped below it.
         """
         order = self.order_within_cap()
         if order == 1:
             return None, 0
-        floor, ball = 1, 1  # no element has ind below floor, and ball counts the permutations that do
-        sphere = np.arange(self.degree, dtype=self._rows.dtype)[None, :]
-        while ball + sphere_size(self.degree, floor) <= order:
-            sphere = next_sphere(sphere)
-            if self.contains(sphere).any():
-                break
-            floor, ball = floor + 1, ball + len(sphere)
+        if order == self.degree and self.is_transitive():
+            floor = order - order // next(p for p in range(2, order + 1) if order % p == 0)
+        else:
+            floor, ball = 1, 1  # no element has ind below floor, and ball counts the permutations that do
+            sphere = np.arange(self.degree, dtype=self._rows.dtype)[None, :]
+            while ball + sphere_size(self.degree, floor) <= order:
+                sphere = next_sphere(sphere)
+                if self.contains(sphere).any():
+                    break
+                floor, ball = floor + 1, ball + len(sphere)
         best_row, best = None, self.degree  # every ind is below the degree
         runs = self._bfs_levels(np.full(order, -1, dtype=np.intp))
         next(runs)  # the identity

@@ -11,8 +11,10 @@ characters (solutions of x^ell = 1 plus Moebius over the divisor lattice), or
 from a recursive walk over products of split primes, instead of the
 multiplicative conductor table, biquadratic triples from a
 perfect-square test on products of three discriminants, divisor counts from
-one slice update per d <= limit instead of divisor pairs, and census tallies
-from one record object per line merged through a dict instead of sorted runs.
+one slice update per d <= limit instead of divisor pairs, census tallies
+from one record object per line merged through a dict instead of sorted runs,
+and leave-one-out exponent shifts from one ``np.linalg.lstsq`` refit per
+sample instead of the fit's leverages.
 """
 
 from __future__ import annotations
@@ -350,6 +352,37 @@ def divisor_counts_slow(limit: int) -> np.ndarray:
     for d in range(1, limit + 1):
         t[d::d] += 1
     return t
+
+
+# ---------------------------------------------------------------------------
+# leave-one-out exponent shifts, one refit per sample
+
+
+def loo_max_shift_slow(samples: Sequence[tuple[float, float]], log_power) -> float:
+    """The largest |a_hat change| over refits that each leave one usable sample out, skipping removals
+    that leave fewer than 3 distinct x; nan with fewer than 4 usable samples or no refit left."""
+    fitted = log_power == "fit"
+    b = 0.0 if fitted else float(log_power)
+    usable = [(float(x), float(z)) for x, z in samples if z > 0 and x >= 1 and not ((fitted or b != 0) and x <= 1)]
+
+    def slope(points: list[tuple[float, float]]) -> float:
+        logx, target = np.log([x for x, _ in points]), np.log([z for _, z in points])
+        columns = [np.ones_like(logx), logx]
+        if fitted:
+            columns.append(np.log(logx))
+        elif b != 0:
+            target = target - b * np.log(logx)
+        return float(np.linalg.lstsq(np.column_stack(columns), target, rcond=None)[0][1])
+
+    if len(usable) < 4:
+        return math.nan
+    a_hat = slope(usable)
+    shifts = []
+    for i in range(len(usable)):
+        rest = usable[:i] + usable[i + 1 :]
+        if len({x for x, _ in rest}) >= 3:
+            shifts.append(abs(slope(rest) - a_hat))
+    return max(shifts, default=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import pytest
+
 from galcount import fields, fitting
 from galcount.cli import _parse_grid, main
 from galcount.groups import PermGroup
@@ -22,6 +24,12 @@ def test_aval_wreath(capsys):
     code, out, _ = run_cli(capsys, "aval", "wreath(C 2, natural(A 4))")
     assert code == 0
     assert "a(G): 1" in out
+
+
+def test_aval_wreath_over_an_intransitive_top_group_exit_4(capsys):
+    # A 2 is the trivial group on 2 points: each block gets its own copy of the bottom group
+    for expr in ("wreath(C 3, A 2)", "wreath(dihedral(3), A 2)"):
+        assert run_cli(capsys, "aval", expr) == (4, "", "error: group is not transitive\n")
 
 
 def test_aval_trivial_group(capsys):
@@ -140,6 +148,14 @@ def test_count_cyclic_long_ell_exit_2(capsys):
     assert code == 2 and "odd prime" in err
     code, _, err = run_cli(capsys, "count", "cyclic", "--ell", str(10**30 + 1), "--grid", "49:100:2")
     assert code == 2 and "primality is only decided below" in err
+
+
+def test_count_cyclic_default_grid_past_the_float_range_exit_2(capsys, monkeypatch):
+    # the default top 10_000 ** (ell - 1) passes 1.8e308 from ell = 79 on, and is refused before it is formed
+    monkeypatch.setattr(fitting, "geometric_grid", lambda *args: pytest.fail("a grid was built"))
+    message = "error: grid values must lie in the float range, below about 1.8e308\n"
+    for ell in ("79", "1000003", "2305843009213693951"):
+        assert run_cli(capsys, "count", "cyclic", "--ell", ell) == (2, "", message)
 
 
 def test_count_census(tmp_path, capsys):
@@ -404,6 +420,21 @@ def test_fit_refuses_a_negative_tolerance(capsys):
 def test_fit_refuses_a_log_power_that_is_nan(capsys):
     code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "nan")
     assert (code, out) == (2, "") and "log power must be 'fit' or a finite number" in err
+
+
+def test_fit_refuses_a_log_power_that_is_not_a_number(capsys):
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "abc")
+    assert (code, out, err) == (2, "", "error: --log-power must be 'fit' or a finite number, got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [["table", "deg6"], ["aval", "C 2"], ["count", "quadratic", "--grid", "1:100:3"]])
+def test_cap_below_one_refused_while_parsing(capsys, argv):
+    for cap in ("0", "-5"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--cap", cap, *argv])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument --cap: must be at least 1, got {cap}\n")
 
 
 def test_fit_cyclic_default_grid(capsys):

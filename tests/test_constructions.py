@@ -24,7 +24,7 @@ from galcount.constructions import (
 from galcount.groups import EnumerationCapError, PermGroup
 from galcount.perms import Perm, parse_cycles
 
-from oracles import check_index_domination_slow, coset_action_slow, regular_index_formula
+from oracles import check_index_domination_slow, coset_action_slow, regular_index_formula, schreier_order
 
 
 # Regular groups with the smallest prime divisor of their order, for the
@@ -268,6 +268,17 @@ def test_wreath_order_formula():
         w = wreath(a, h)
         assert w.order() == a.order() ** h.degree * h.order()
         assert w.is_transitive()
+
+
+def test_wreath_over_an_intransitive_top_group():
+    # the least block of each orbit of h gets a copy of each generator of a
+    trivial = PermGroup(2, [Perm.identity(2)])
+    w = wreath(cyclic_natural(3), trivial)
+    assert [g.cycles() for g in w.generators] == [[(0, 1, 2)], [(3, 4, 5)], []]
+    assert w.order() == 9 and not w.is_transitive()
+    swap_two_of_three = PermGroup(3, [parse_cycles("(2 3)", 3)])
+    w = wreath(symmetric_natural(3), swap_two_of_three)
+    assert w.order() == 6**3 * 2 == schreier_order(w.degree, list(w.generators))
 
 
 def test_wreath_cap():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from galcount.fitting import (
     fit_exponent,
     geometric_grid,
 )
+
+from oracles import loo_max_shift_slow
 
 
 def test_geometric_grid():
@@ -105,6 +108,54 @@ def test_leave_one_out_bound():
     fit = fit_exponent(samples, log_power=0.0)
     without_smallest = fit_exponent(samples[1:], log_power=0.0)
     assert abs(without_smallest.a_hat - fit.a_hat) <= fit.loo_max_shift + 1e-15
+
+
+@pytest.mark.parametrize("log_power", [0.0, 1.5, "fit"])
+def test_leave_one_out_shifts_match_refits(log_power):
+    rng = random.Random(23)
+    pool = geometric_grid(10, 10**9, 60)
+    for trial in range(60):
+        xs = sorted(rng.sample(pool, 4 if trial % 3 == 0 else rng.randint(5, 25)))
+        if trial % 2:
+            xs[rng.randrange(len(xs))] = xs[rng.randrange(len(xs))]  # a repeated x
+        samples = [(x, round(2 * x**0.4 * math.log(x) * rng.uniform(0.8, 1.25))) for x in xs]
+        slow = loo_max_shift_slow(samples, log_power)
+        assert not math.isnan(slow)
+        assert fit_exponent(samples, log_power).loo_max_shift == pytest.approx(slow, rel=1e-6)
+    three = [(10, 5), (100, 40), (1000, 400)]
+    assert math.isnan(fit_exponent(three, log_power).loo_max_shift) and math.isnan(loo_max_shift_slow(three, log_power))
+
+
+def test_leave_one_out_skips_removals_that_leave_two_distinct_x():
+    # only the repeated x can go: without 10, 100 or 1000 two distinct x remain
+    samples = [(10, 5), (100, 40), (100, 60), (1000, 400)]
+    fit = fit_exponent(samples, log_power=0.0)
+    shift = max(abs(fit_exponent(samples[:i] + samples[i + 1 :], log_power=0.0).a_hat - fit.a_hat) for i in (1, 2))
+    assert fit.loo_max_shift == pytest.approx(shift, rel=1e-9)
+    assert fit.loo_max_shift == pytest.approx(loo_max_shift_slow(samples, 0.0), rel=1e-9)
+
+
+def test_leave_one_out_needs_no_refit_constant():
+    # refits without the third or the fourth sample give log c near 1272 and 2430, past the float range
+    samples = [(201722, 149174), (237359, 20731), (4933862, 2031326), (173930584, 33667)]
+    fit = fit_exponent(samples, log_power="fit")
+    assert math.isfinite(fit.c_hat) and fit.loo_max_shift == pytest.approx(loo_max_shift_slow(samples, "fit"), rel=1e-6)
+
+
+def test_fit_solves_once(monkeypatch):
+    solves = []
+    core = fitting._fit_core
+
+    def counted(*args):
+        solves.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(fitting, "_fit_core", counted)
+    samples = [(x, 3 * x**0.5 + (x % 7)) for x in geometric_grid(10, 10**7, 200)]
+    for log_power in (0.0, 1.0, "fit"):
+        solves.clear()
+        assert not math.isnan(fit_exponent(samples, log_power).loo_max_shift)
+        assert len(solves) == 1
 
 
 def test_verdict_quadratic():

@@ -152,12 +152,33 @@ def test_witness_search_stops_once_the_least_ind_is_proved(monkeypatch):
 
 
 def test_witness_search_walks_the_whole_bfs_when_nothing_can_be_proved(monkeypatch):
-    # least ind 192 on 384 points: the ball of ind <= 1 alone outnumbers the group
+    # least ind 24 on 48 points, not a regular action: the ball of ind <= 1 alone outnumbers the group
+    group = sl2_natural(7)
+    expected = _first_least_ind(sl2_natural(7))
+    sizes = _bfs_reach(monkeypatch)
+    assert group.min_index_witness() == expected
+    assert expected[1] == 24 and sum(sizes) == 336
+
+
+def test_regular_action_stops_at_an_element_of_least_prime_order(monkeypatch):
+    # 384 = 2^7 * 3: the least ind is 384 - 384/2, met by a generator of order 2
     group = regular_rep(wreath(cyclic_natural(2), symmetric_natural(4)))
     expected = _first_least_ind(regular_rep(wreath(cyclic_natural(2), symmetric_natural(4))))
     sizes = _bfs_reach(monkeypatch)
+    monkeypatch.setattr(PermGroup, "_enumerate", lambda self: pytest.fail("full enumeration"))
+    monkeypatch.setattr(PermGroup, "contains", lambda self, rows: pytest.fail("a sphere was sifted"))
     assert group.min_index_witness() == expected
-    assert expected[1] == 192 and sum(sizes) == 384
+    assert expected[1] == 192 and sum(sizes) == 4
+
+
+def test_regular_witness_matches_the_full_bfs_on_the_catalog():
+    # the closed-form floor must not change which element is the witness
+    for group in catalog_groups():
+        assert group.order() <= 5040
+        action = regular_rep(group)
+        expected = _first_least_ind(regular_rep(group))
+        assert action.min_index_witness() == expected
+        assert action.a_invariant() == Fraction(1, expected[1])
 
 
 def test_engine_above_256_points_uses_uint16():
