@@ -7,7 +7,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -145,13 +145,13 @@ def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
     """Tally of cyclic degree-ell discriminants up to xmax, read from the conductor
     table over f <= xmax**(1/(ell-1)) with array operations: the discriminants
     f**(ell-1) <= xmax are one int64 power below 2**63 and exact Python ints in a
-    ``dtype=object`` array from there (an int64 power would wrap), the running
-    counts one int64 cumsum."""
+    ``dtype=object`` array from there (an int64 power would wrap), each repeated
+    once per field of its conductor."""
     conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
     if xmax >= 2**63:
         conductors = conductors.astype(object)
     discs = conductors ** (ell - 1) if conductors.size else conductors  # with no conductor, ell may pass int64
-    return DiscriminantTally._from_cumulative(f"C{ell}", discs, np.append(0, np.cumsum(counts)))
+    return DiscriminantTally(f"C{ell}", np.repeat(discs, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def count_biquadratic(x: int) -> int:
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":
-    return DiscriminantTally._from_sorted("C2xC2", biquadratic_discs(xmax))
+    return DiscriminantTally("C2xC2", biquadratic_discs(xmax))
 
 
 # ---------------------------------------------------------------------------
@@ -234,53 +234,31 @@ def _exact_array(values: Sequence[int]) -> np.ndarray:
 
 
 class DiscriminantTally:
-    """Ascending distinct |disc| values for one group label, and the number of
-    fields below the first of them (0), up to each, held as arrays: int64 when
-    every value fits, ``dtype=object`` (exact Python ints) past 2**63."""
+    """The |disc| of every field of one group label, ascending with repeats kept, as one
+    array: int64 when every value fits, ``dtype=object`` (exact Python ints) past 2**63."""
 
-    __slots__ = ("label", "_discs", "_cumulative")
+    __slots__ = ("label", "_discs")
 
-    def __init__(self, label: str, entries: Iterable[tuple[int, int]]):
-        """From (|disc|, multiplicity) pairs, strictly increasing in |disc|."""
-        entries = tuple(entries)
-        for (d, m) in entries:
-            if d < 1 or m < 1:
-                raise ValueError("abs_disc and multiplicity must be positive")
-        for (d1, _), (d2, _) in zip(entries, entries[1:]):
-            if d1 >= d2:
-                raise ValueError("entries must be strictly increasing in abs_disc")
+    def __init__(self, label: str, discs: Union[np.ndarray, Sequence[int]]):
+        """From an array or a list of ints; a value below 1 or a descending pair raises ValueError."""
+        discs = discs if isinstance(discs, np.ndarray) else _exact_array(discs)
+        if np.any(discs[:1] < 1) or np.any(discs[1:] < discs[:-1]):
+            raise ValueError("abs_disc values must be positive and ascending")
         self.label = label
-        self._discs = _exact_array([d for d, _ in entries])
-        self._cumulative = _exact_array(list(accumulate((m for _, m in entries), initial=0)))
-
-    @classmethod
-    def _from_cumulative(cls, label: str, discs: np.ndarray, cumulative: np.ndarray) -> "DiscriminantTally":
-        """From distinct |disc| values and the running field counts up to each, after a
-        leading 0, which the caller guarantees ascending and positive; nothing is re-checked."""
-        tally = cls.__new__(cls)
-        tally.label = label
-        tally._discs = discs
-        tally._cumulative = cumulative
-        return tally
-
-    @classmethod
-    def _from_sorted(cls, label: str, discs: np.ndarray) -> "DiscriminantTally":
-        """One field per item of ``discs``, which the caller guarantees ascending and
-        positive; each run of equal values becomes one entry."""
-        ends = np.flatnonzero(np.append(discs[1:] != discs[:-1], discs.size > 0))
-        return cls._from_cumulative(label, discs[ends], np.append(0, ends + 1))
+        self._discs = discs
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
         """(|disc|, multiplicity) pairs, ascending in |disc|, as Python ints."""
-        return tuple(zip(self._discs.tolist(), np.diff(self._cumulative).tolist()))
+        values, counts = np.unique(self._discs, return_counts=True)
+        return tuple(zip(values.tolist(), counts.tolist()))
 
     def largest_disc(self) -> int:
         """The largest |disc| in the tally, which must not be empty."""
         return int(self._discs[-1])
 
     def total(self) -> int:
-        return int(self._cumulative[-1])
+        return self._discs.size
 
     def count_up_to(self, x: int) -> int:
         """Z(x): number of fields with |disc| <= x."""
@@ -294,10 +272,10 @@ class DiscriminantTally:
         if self._discs.dtype != object:
             lo, hi = bisect.bisect_left(xs, 0), bisect.bisect_left(xs, 2**63)
         at = np.searchsorted(self._discs, np.array(xs[lo:hi], dtype=self._discs.dtype), side="right")
-        return [0] * lo + self._cumulative[at].tolist() + [self.total()] * (len(xs) - hi)
+        return [0] * lo + at.tolist() + [self.total()] * (len(xs) - hi)
 
     def __repr__(self) -> str:
-        return f"DiscriminantTally({self.label!r}, {self._discs.size} discriminants, Z={self.total()})"
+        return f"DiscriminantTally({self.label!r}, Z={self.total()})"
 
 
 def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
@@ -334,13 +312,13 @@ def read_census_records(stream: Union[str, TextIO, Iterable[str]]) -> list[Censu
 def ingest_census(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
     """Read a census of fields (one per line) and group it into tallies by label.
 
-    Repeated (label, abs_disc) records accumulate multiplicity.  A text stream is
+    Each record is one field, so a repeated (label, abs_disc) is kept.  A text stream is
     read whole with ``read()`` and split at "\\n", as iterating a file in text mode
     or a StringIO splits it; a plain iterable's items are its lines.  Canonical
     lines (see ``_canonical_census``) are read by one array pass over blocks of the
     text, and any other text by the per-line reader ``_census_discs``, with
     identical results; the per-line reader alone raises CensusFormatError.  Each
-    tally holds int64 arrays, or ``dtype=object`` arrays once a |disc| passes 2**63.
+    tally holds an int64 array, or a ``dtype=object`` array once a |disc| passes 2**63.
     """
     if isinstance(stream, str):
         text = lines = stream
@@ -357,7 +335,7 @@ def ingest_census(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, Discri
         del text  # a stream's text is not needed once split
         per_line = _census_discs(lines)
         grouped = {label: np.sort(_exact_array(discs)) for label, discs in per_line.items()}
-    return {label: DiscriminantTally._from_sorted(label, discs) for label, discs in grouped.items()}
+    return {label: DiscriminantTally(label, discs) for label, discs in grouped.items()}
 
 
 _CENSUS_BLOCK = 1 << 20  # characters per array block, before the cut at the next newline

@@ -88,7 +88,11 @@ def _fit_core(xs: np.ndarray, zs: np.ndarray, log_power: LogPower) -> tuple[floa
         shifts = np.abs(spread[1] * residuals / (1 - leverages))
     b = coeffs[2] if log_power == "fit" else float(log_power)
     rms = float(np.sqrt(np.mean(residuals**2)))
-    return float(coeffs[1]), float(math.exp(coeffs[0])), float(b), rms, shifts
+    try:
+        c_hat = math.exp(coeffs[0])
+    except OverflowError:  # an intercept above about 709, as a fitted log power can give
+        c_hat = math.inf
+    return float(coeffs[1]), float(c_hat), float(b), rms, shifts
 
 
 def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0.0) -> FitResult:

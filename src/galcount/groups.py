@@ -3,6 +3,7 @@ membership, and a breadth-first enumeration into one cached image array."""
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -100,8 +101,9 @@ def next_sphere(sphere: np.ndarray) -> np.ndarray:
 
 class _Level:
     """One level of a stabilizer chain: a base point, the strong generators that fix the
-    earlier base points, the base point's orbit under them, and one inverse transversal
-    row per orbit point (row where[p] is u^-1 for a word u in the generators with u(base) = p).
+    earlier base points, the base point's orbit under them with its Schreier tree, and,
+    built on first use, one inverse transversal row per orbit point (row where[p] is u^-1
+    for a word u in the generators with u(base) = p).
     """
 
     def __init__(self, base: int, gens: np.ndarray):
@@ -120,18 +122,26 @@ class _Level:
                     via.append(j)
                     depth.append(depth[i] + 1)
         self.where, self.orbit = np.array(where, dtype=np.intp), np.array(orbit, dtype=np.intp)
-        parent, via = np.array(parent, dtype=np.intp), np.array(via, dtype=np.intp)
-        # u = g * u_parent, so u^-1 = u_parent^-1 * g^-1, gathered one depth at a time
-        gen_inverses = np.argsort(gens, axis=1)
-        self.inverses = np.empty((len(orbit), n), dtype=gens.dtype)
-        self.inverses[0] = np.arange(n)
-        flat = self.inverses.ravel()
-        bounds = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            self.inverses[lo:hi] = flat[gen_inverses[via[lo:hi]] + (parent[lo:hi] * n)[:, None]]
+        self._parent, self._via = np.array(parent, dtype=np.intp), np.array(via, dtype=np.intp)
+        self._depth = depth
         # the (point, generator) pairs that define a transversal element give the identity
         self.schreier_pairs = np.ones(len(orbit) * k, dtype=bool)
-        self.schreier_pairs[parent[1:] * k + via[1:]] = False
+        self.schreier_pairs[self._parent[1:] * k + self._via[1:]] = False
+
+    @functools.cached_property
+    def inverses(self) -> np.ndarray:
+        """The inverse transversal rows; u = g * u_parent, so u^-1 = u_parent^-1 * g^-1,
+        gathered one depth of the Schreier tree at a time."""
+        n = self.gens.shape[1]
+        parent, via, depth = self._parent, self._via, self._depth
+        gen_inverses = np.argsort(self.gens, axis=1)
+        inverses = np.empty((len(self.orbit), n), dtype=self.gens.dtype)
+        inverses[0] = np.arange(n)
+        flat = inverses.ravel()
+        bounds = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            inverses[lo:hi] = flat[gen_inverses[via[lo:hi]] + (parent[lo:hi] * n)[:, None]]
+        return inverses
 
     def schreier_blocks(self) -> Iterator[np.ndarray]:
         """The Schreier generators u_{s(p)}^-1 * s * u_p of the point stabilizer, less those
@@ -181,13 +191,22 @@ def _ranks(chain: list[_Level], rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _schreier_sims(gens: np.ndarray) -> list[_Level]:
+def _schreier_sims(gens: np.ndarray, cap: Optional[int] = None) -> list[_Level]:
     """Deterministic Schreier-Sims: a base and strong generating set for the group the rows generate.
 
     Levels are completed from the deepest up.  Each Schreier generator of a level is sifted
     through the levels below it; the first nonidentity residue joins every level down to
     the one where it stopped (a new level when it passed them all), and the work resumes there.
+    Each level's orbit lies inside its basic orbit, so the product of the orbit lengths is a
+    lower bound on |G|.  With a cap, EnumerationCapError is raised once that bound passes it,
+    checked when the first levels exist and after every join, before the new levels build
+    any inverse transversal row.
     """
+
+    def check(chain: list[_Level]) -> None:
+        if cap is not None and math.prod(len(level.orbit) for level in chain) > cap:
+            raise EnumerationCapError(f"group order exceeds cap {cap}")
+
     identity = np.arange(gens.shape[1], dtype=gens.dtype)
     gens = gens[(gens != identity).any(axis=1)]
     base: list[int] = []
@@ -195,6 +214,7 @@ def _schreier_sims(gens: np.ndarray) -> list[_Level]:
         if (g[base] == base).all():
             base.append(int(np.argmax(g != identity)))
     chain = [_Level(b, gens[(gens[:, base[:depth]] == base[:depth]).all(axis=1)]) for depth, b in enumerate(base)]
+    check(chain)
     depth = len(chain) - 1
     while depth >= 0:
         for block in chain[depth].schreier_blocks():
@@ -212,6 +232,7 @@ def _schreier_sims(gens: np.ndarray) -> list[_Level]:
             chain.append(_Level(int(np.argmax(h != identity)), h[None, :]))
         for lower in range(depth + 1, end + 1 - new):
             chain[lower] = _Level(chain[lower].base, np.vstack([chain[lower].gens, h]))
+        check(chain)
         depth = end
     return chain
 
@@ -274,18 +295,19 @@ class PermGroup:
         """The least point of each point's orbit."""
         return self._cached("_orbits", lambda: component_minima(self._rows))
 
-    def _stabilizer_chain(self) -> list[_Level]:
-        return self._cached("_chain", lambda: _schreier_sims(self._rows))
+    def _stabilizer_chain(self, cap: Optional[int] = None) -> list[_Level]:
+        """The cached chain; a build with a cap refuses as soon as its running order bound passes it."""
+        return self._cached("_chain", lambda: _schreier_sims(self._rows, cap))
 
     def order(self) -> int:
         """|G|, the product of the stabilizer chain's orbit lengths; never enumerates."""
         return math.prod(len(level.orbit) for level in self._stabilizer_chain())
 
     def order_within_cap(self) -> int:
-        """``order()``, raising EnumerationCapError when it exceeds the cap.  An orbit's length
-        divides the order, so an orbit longer than the cap refuses before the chain is built,
-        whose first level alone holds an orbit's length of rows of ``degree`` points."""
-        if np.bincount(self._orbit_minima()).max() > self.cap or self.order() > self.cap:
+        """``order()``, raising EnumerationCapError when it exceeds the cap.  A chain not yet built
+        is built with the cap, so an order over it is refused while the chain grows."""
+        self._stabilizer_chain(self.cap)
+        if self.order() > self.cap:
             raise EnumerationCapError(f"group order exceeds cap {self.cap}")
         return self.order()
 

@@ -428,10 +428,14 @@ def read_census_records_slow(stream: Union[str, TextIO, Iterable[str]]) -> list[
 def ingest_census_slow(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
     """Read a census of fields (one per line) and group it into tallies by label.
 
-    Repeated (label, abs_disc) records accumulate multiplicity.
+    Repeated (label, abs_disc) records accumulate multiplicity, and the tally repeats
+    each |disc| that many times.
     """
     grouped: dict[str, dict[int, int]] = {}
     for record in read_census_records_slow(stream):
         merged = grouped.setdefault(record.group_label, {})
         merged[record.abs_disc] = merged.get(record.abs_disc, 0) + 1
-    return {label: DiscriminantTally(label, sorted(merged.items())) for label, merged in grouped.items()}
+    return {
+        label: DiscriminantTally(label, [d for d, m in sorted(merged.items()) for _ in range(m)])
+        for label, merged in grouped.items()
+    }

@@ -64,7 +64,8 @@ def test_aval_over_cap_exits_3_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(PermGroup, "_bfs_levels", refuse)
-    for expr in ("S 12", "product(S 8, S 8)"):
+    # the orbits of S 999, S 3000 and A 3000 fit the cap; the running bound on the order refuses them
+    for expr in ("S 12", "product(S 8, S 8)", "S 999", "S 3000", "A 3000"):
         assert run_cli(capsys, "aval", expr) == (3, "", "error: group order exceeds cap 1000000\n")
 
 
@@ -354,6 +355,16 @@ def test_fit_sample_beyond_float_range_exit_6(tmp_path, capsys):
     path.write_text(f"x,count\n10,3\n20,5\n{10**400},7\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "fit", "--samples", str(path))
     assert code == 6 and err == "error: line 4: sample beyond the float range\n"
+
+
+def test_fit_with_a_constant_past_the_float_range_prints_c_hat_inf(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("x,count\n48271116,15574\n59055379,21622\n14152339,10181\n34851802,11546\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", "--samples", str(path), "--log-power", "fit")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["a_hat", "c_hat", "log_power", "rms_residual", "samples"]
+    assert lines[1] == "c_hat: inf" and lines[4] == "samples: 4 used, 0 dropped"
 
 
 def test_count_cyclic_ell_above_64_bits(capsys):

@@ -232,22 +232,33 @@ def test_counts_nondecreasing():
 
 
 def test_tally_basics():
-    tally = DiscriminantTally("demo", [(49, 1), (81, 1)])
+    tally = DiscriminantTally("demo", [49, 81])
     assert tally_samples(tally, [48, 49, 100]) == [(48, 0), (49, 1), (100, 2)]
     assert tally_samples(tally, [48, 48]) == [(48, 0), (48, 0)]
     empty = DiscriminantTally("none", [])
     assert tally_samples(empty, [1, 10]) == [(1, 0), (10, 0)]
+    assert empty.entries == () and empty.total() == 0
     with pytest.raises(ValueError):
         tally_samples(tally, [100, 49])
-    with pytest.raises(ValueError):
-        DiscriminantTally("bad", [(81, 1), (49, 1)])
-    with pytest.raises(ValueError):
-        DiscriminantTally("bad", [(0, 1)])
+    repeats = DiscriminantTally("demo", np.array([49, 49, 81, 81, 81], dtype=np.int64))
+    assert repeats.entries == ((49, 2), (81, 3)) and repeats.total() == 5
+    assert [repeats.count_up_to(x) for x in (48, 49, 80, 81)] == [0, 2, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "discs",
+    [[81, 49], [49, 81, 64], [0], [0, 49], [-5, 49], np.array([49, 48]), np.array([0, 1]),
+     [2**70, 2**63], [0, 2**70], np.array([2**70, 49], dtype=object)],
+)
+def test_tally_refuses_a_descending_pair_or_a_value_below_1(discs):
+    with pytest.raises(ValueError, match="positive and ascending"):
+        DiscriminantTally("bad", discs)
 
 
 def test_tally_counts_beyond_int64():
-    small = DiscriminantTally("small", [(49, 2), (2**63 - 1, 1)])
-    big = DiscriminantTally("big", [(49, 2), (2**63, 1), (2**70, 3)])
+    small = DiscriminantTally("small", [49, 49, 2**63 - 1])
+    big = DiscriminantTally("big", [49, 49, 2**63, 2**70, 2**70, 2**70])
+    assert small._discs.dtype == np.int64 and big._discs.dtype == object
     assert small.entries == ((49, 2), (2**63 - 1, 1)) and big.entries == ((49, 2), (2**63, 1), (2**70, 3))
     for x, want_small, want_big in [(-(2**70), 0, 0), (-1, 0, 0), (48, 0, 0), (49, 2, 2), (2**63 - 1, 3, 2),
                                     (2**63, 3, 3), (2**70 - 1, 3, 3), (2**70, 3, 6), (2**80, 3, 6)]:

@@ -142,6 +142,13 @@ def test_leave_one_out_needs_no_refit_constant():
     assert math.isfinite(fit.c_hat) and fit.loo_max_shift == pytest.approx(loo_max_shift_slow(samples, "fit"), rel=1e-6)
 
 
+def test_fitted_constant_past_the_float_range_is_inf():
+    # the fitted log power drives the intercept past about 709, where math.exp overflows
+    samples = [(48271116, 15574), (59055379, 21622), (14152339, 10181), (34851802, 11546)]
+    fit = fit_exponent(samples, log_power="fit")
+    assert fit.c_hat == math.inf and math.isfinite(fit.a_hat) and math.isfinite(fit.b)
+
+
 def test_fit_solves_once(monkeypatch):
     solves = []
     core = fitting._fit_core

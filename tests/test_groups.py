@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import threading
@@ -17,7 +18,7 @@ from galcount.constructions import (
     symmetric_natural,
     wreath,
 )
-from galcount.groups import EnumerationCapError, PermGroup, _ranks, component_minima, cycle_inds
+from galcount.groups import EnumerationCapError, PermGroup, _Level, _ranks, component_minima, cycle_inds
 from galcount.groupspec import parse_group_file
 from galcount.perms import Perm, parse_cycles
 
@@ -101,12 +102,42 @@ def test_order_and_cap_refusal_never_enumerate(monkeypatch):
 
 
 def test_orbit_longer_than_cap_refused_before_the_chain():
-    # the chain's first level would hold 2000 rows of 2000 points; C 2000000 would need 14.6 TiB
+    # the chain's first level would hold 2000 rows of 2000 points; its orbit alone passes the cap
     group = PermGroup(2000, cyclic_natural(2000).generators, cap=1000)
     with pytest.raises(EnumerationCapError, match="^group order exceeds cap 1000$"):
         group.order_within_cap()
     assert group._chain is None
     assert cyclic_natural(2000, cap=2000).order_within_cap() == 2000
+
+
+def test_over_the_cap_refused_before_any_transversal_row_over_it(monkeypatch):
+    # the product of the chain's orbit lengths bounds |G| from below as the chain grows
+    built = []
+    inverses = _Level.inverses.func
+
+    def counted(self):
+        built.append(len(self.orbit))
+        return inverses(self)
+
+    counted_once = functools.cached_property(counted)
+    counted_once.__set_name__(_Level, "inverses")
+    monkeypatch.setattr(_Level, "inverses", counted_once)
+    # A 71's first level, one orbit of 71 points, fits the cap, and its Schreier generators need its rows
+    for group, rows in [(alternating_natural(200000), []), (dihedral_natural(600000), []),
+                        (alternating_natural(71, cap=1000), [71])]:
+        built.clear()
+        with pytest.raises(EnumerationCapError, match=f"^group order exceeds cap {group.cap}$"):
+            group.order_within_cap()
+        assert group._chain is None and built == rows
+
+
+def test_uncapped_order_after_a_refusal():
+    group = symmetric_natural(6, cap=719)
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 719$"):
+        group.order_within_cap()
+    assert group._chain is None and group.order() == 720
+    with pytest.raises(EnumerationCapError, match="^group order exceeds cap 719$"):
+        group.order_within_cap()  # from the cached chain, built without the cap
 
 
 def _bfs_reach(monkeypatch) -> list[int]:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from galcount.groups import PermGroup, next_sphere, sphere_size
+from galcount.groups import EnumerationCapError, PermGroup, next_sphere, sphere_size
 from galcount.perms import Perm, parse_cycles
 
 from oracles import bfs_elements, schreier_order
@@ -73,6 +73,21 @@ def test_chain_matches_references_on_the_catalog():
     rng = random.Random(3)
     for group in catalog_groups():
         assert_chain_matches_references(group, rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(generator_sets(), st.sampled_from([-1, 0]))
+@example(_group(8, "(1 2)", "(1 2 3 4 5 6 7 8)", "(1 3)(2 4)"), -1)
+@example(_group(8, "(1 2 3)(4 5)", "(6 7 8)"), -1)
+def test_order_within_cap_refuses_exactly_over_the_cap(group, offset):
+    order = PermutationGroup([Permutation(list(g.images)) for g in group.generators]).order()
+    capped = PermGroup(group.degree, group.generators, max(order + offset, 1))
+    if order > capped.cap:
+        with pytest.raises(EnumerationCapError, match=f"^group order exceeds cap {capped.cap}$"):
+            capped.order_within_cap()
+        assert capped._chain is None
+    else:
+        assert capped.order_within_cap() == order
 
 
 @pytest.mark.parametrize("n", range(1, 8))

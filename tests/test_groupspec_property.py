@@ -50,6 +50,8 @@ def texts(draw) -> str:
 @example('cosets(regular(C 3), "(1 2 3)")')
 @example("wreath(S 12, natural(A 0)")
 @example("wreath(C 3, A 2)")
+@example("A 71")
+@example("A 677")
 def test_aval_exits_with_a_documented_code(text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["--cap", "1000", "aval", text])
