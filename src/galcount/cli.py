@@ -20,7 +20,7 @@ from .constructions import InconsistentDualRep, check_index_domination, dual_reg
 from .fields import CensusFormatError
 from .fitting import InsufficientSamplesError
 from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
-from .groupspec import GroupSpecError, load_group_file, open_text, parse_group_expr, parse_paired_file
+from .groupspec import GroupSpecError, load_group_file, parse_group_expr, parse_paired_file, read_text
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -139,8 +139,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
     if args.family == "census":
         if not args.label or not args.file:
             raise GroupSpecError("census counts need --label and --file")
-        with open_text(args.file, CensusFormatError) as handle:
-            tallies = fields.ingest_census(handle)
+        tallies = fields.ingest_census(read_text(args.file, CensusFormatError))
         if args.label not in tallies:
             raise CensusFormatError(f"label {args.label!r} not present in census")
         tally = tallies[args.label]
@@ -162,8 +161,8 @@ def _cmd_count(args) -> int:
 
 
 def _read_samples(path: str) -> list[tuple[int, int]]:
-    with open_text(path, InsufficientSamplesError) as handle:
-        lines = [(n, line.strip()) for n, line in enumerate(handle, start=1) if line.strip()]
+    text = read_text(path, InsufficientSamplesError)
+    lines = [(n, line.strip()) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if lines and lines[0][1] == "x,count":
         lines = lines[1:]
     samples = []
@@ -230,8 +229,7 @@ def _cmd_compare_reps(args) -> int:
         )
         dual = dual_regular_pair(product)
     else:
-        with open_text(args.file, GroupSpecError) as handle:
-            dual = parse_paired_file(handle)
+        dual = parse_paired_file(read_text(args.file, GroupSpecError))
     report = check_index_domination(dual, args.cap)
     if report.holds:
         print("HOLDS")

@@ -223,13 +223,16 @@ def check_index_domination(dual: DualRep, cap: int = DEFAULT_CAP) -> DominationR
     whose j-th generator is gens1[j] on the first n1 and gens2[j] on the rest.
     The diagonal maps onto each side, so the two present one group (and share its
     BFS order) exactly when the three stabilizer chains give one order; otherwise
-    InconsistentDualRep is raised before anything is enumerated.  On failure the
-    first violating element is reported as its BFS-tree word.
+    InconsistentDualRep is raised before anything is enumerated.  Each side's chain is
+    built with the cap, so a side over it raises EnumerationCapError while that chain
+    grows, and the diagonal of two sides within it has order at most cap**2.  On
+    failure the first violating element is reported as its BFS-tree word.
     """
+    orders = [PermGroup(side[0].degree, side, cap).order_within_cap() for side in (dual.gens1, dual.gens2)]
     n1 = dual.gens1[0].degree
     gens = [Perm(g1.images + tuple(n1 + i for i in g2.images)) for g1, g2 in zip(dual.gens1, dual.gens2)]
     diagonal = PermGroup(n1 + dual.gens2[0].degree, gens, cap)
-    if any(PermGroup(side[0].degree, side).order() != diagonal.order() for side in (dual.gens1, dual.gens2)):
+    if any(order != diagonal.order() for order in orders):
         raise InconsistentDualRep("a word acts as the identity in one representation but not the other")
     images = diagonal.image_array()
     blocks = images[:, :n1], images[:, n1:] - n1

@@ -8,7 +8,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .sieves import introot, is_prime, mobius, prime_array, squarefree_sieve
 
 
 class CensusFormatError(ValueError):
-    """A census stream violates the ``degree,group,abs_disc`` format."""
+    """A census violates the ``degree,group,abs_disc`` format."""
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +297,32 @@ class CensusRecord:
     abs_disc: int
 
 
-def read_census_records(stream: Union[str, TextIO, Iterable[str]]) -> list[CensusRecord]:
-    """Parse a census stream into records, rejecting malformed lines by number.
+def read_census_records(text: str) -> list[CensusRecord]:
+    """Parse a census file's text into records, rejecting malformed lines by number.
 
     Format: first line exactly ``degree,group,abs_disc``, then comma-separated
     records with integer degree, a label without commas, and a positive
     integer absolute discriminant.
     """
     records: list[CensusRecord] = []
-    _census_discs(stream, records)
+    _census_discs(text, records)
     return records
 
 
-def ingest_census(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
-    """Read a census of fields (one per line) and group it into tallies by label.
+def ingest_census(text: str) -> dict[str, DiscriminantTally]:
+    """Read a census of fields (one per line) from a file's text and group it into
+    tallies by label.
 
-    Each record is one field, so a repeated (label, abs_disc) is kept.  A text stream is
-    read whole with ``read()`` and split at "\\n", as iterating a file in text mode
-    or a StringIO splits it; a plain iterable's items are its lines.  Canonical
-    lines (see ``_canonical_census``) are read by one array pass over blocks of the
-    text, and any other text by the per-line reader ``_census_discs``, with
-    identical results; the per-line reader alone raises CensusFormatError.  Each
-    tally holds an int64 array, or a ``dtype=object`` array once a |disc| passes 2**63.
+    Each record is one field, so a repeated (label, abs_disc) is kept.  Lines end at
+    "\\n" only, as in a file read in text mode.  Canonical lines (see
+    ``_canonical_census``) are read by one array pass over blocks of the text, and any
+    other text by the per-line reader ``_census_discs``, with identical results; the
+    per-line reader alone raises CensusFormatError.  Each tally holds an int64 array,
+    or a ``dtype=object`` array once a |disc| passes 2**63.
     """
-    if isinstance(stream, str):
-        text = lines = stream
-    elif hasattr(stream, "read"):
-        text, lines = stream.read(), None
-    else:
-        lines = list(stream)
-        text = "\n".join(line.removesuffix("\n") for line in lines)
-        if text.count("\n") >= len(lines):
-            text = ""  # an item with a newline inside is one line, as only the per-line reader reads it
     grouped = _canonical_census(text)
     if grouped is None:
-        lines = text.split("\n") if lines is None else lines
-        del text  # a stream's text is not needed once split
-        per_line = _census_discs(lines)
+        per_line = _census_discs(text)
         grouped = {label: np.sort(_exact_array(discs)) for label, discs in per_line.items()}
     return {label: DiscriminantTally(label, discs) for label, discs in grouped.items()}
 
@@ -413,24 +402,20 @@ def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:
     return [(label.decode("ascii"), value[m]) for _, label, m in groups]
 
 
-def _census_discs(
-    stream: Union[str, TextIO, Iterable[str]], records: Optional[list[CensusRecord]] = None
-) -> dict[str, list[int]]:
-    """abs_disc values by group label, in file order, from one pass over the lines:
-    the per-line reader, which reads every census that ``_canonical_census``
-    declines and which ``read_census_records`` uses.  It reads a canonical line to
-    the same values as the array pass.
+def _census_discs(text: str, records: Optional[list[CensusRecord]] = None) -> dict[str, list[int]]:
+    """abs_disc values by group label, in file order, from one pass over the lines of
+    ``text``, split at "\\n": the per-line reader, which reads every census that
+    ``_canonical_census`` declines and which ``read_census_records`` uses.  It reads a
+    canonical line to the same values as the array pass.
 
-    A ``str`` is split with ``splitlines()``; any other stream is read whole, one
-    item per line as iterating it gives, before the first line is checked.  Each
-    line then passes these checks in order, the first failure raising
+    Each line after the header passes these checks in order, the first failure raising
     CensusFormatError with its line number: blank (skipped), three fields,
     integer degree and abs_disc, degree >= 1, abs_disc >= 1, nonempty label.
-    Fields are ``str.strip()``-ed first, so a line's trailing newline never
-    matters.  With ``records``, each line's CensusRecord is appended to it too.
+    Fields are ``str.strip()``-ed first.  With ``records``, each line's CensusRecord
+    is appended to it too.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else list(stream)
-    if not lines or lines[0].strip() != CENSUS_HEADER:
+    lines = text.split("\n")
+    if lines[0].strip() != CENSUS_HEADER:
         raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
     grouped: dict[str, list[int]] = {}
     for number, line in enumerate(islice(lines, 1, None), start=2):

@@ -1,5 +1,5 @@
 """Text grammar for naming permutation groups, the group-file formats, and
-``open_text``, the reader of every input file.
+``read_text``, the reader of every input file.
 
 Expression grammar (whitespace-insensitive):
 
@@ -15,8 +15,7 @@ separated by a ``---`` line, with the i-th generators aligned.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import Callable, Optional
 
 from . import constructions
 from .constructions import DualRep
@@ -86,7 +85,7 @@ class _Reader:
         found, text, column = self.token()
         if kind == "family" and found == "name":
             if text not in _FAMILIES:
-                raise GroupSpecError(f"natural() family must be C, A or S, not {text!r}")
+                raise GroupSpecError(f"natural() family must be C, A or S, not {text!r} at column {column}")
             return _FAMILIES[text]
         if found != kind:
             raise GroupSpecError(f"expected {_KINDS[kind]} at column {column}")
@@ -118,15 +117,14 @@ class _Reader:
             raise GroupSpecError(f"column {column}: {exc}") from None
 
 
-@contextmanager
-def open_text(path: str, error: Callable[[str], Exception]) -> Iterator[TextIO]:
-    """Open the UTF-8 file at ``path`` for a ``with`` block, skipping a leading byte-order
-    mark; its lines are what iterating the handle gives.  A file that cannot be read
-    raises ``error("cannot read 'PATH': reason")``, and a byte that is not UTF-8, met
-    while the block reads, raises ``error("line N: not valid UTF-8")``."""
+def read_text(path: str, error: Callable[[str], Exception]) -> str:
+    """The text of the UTF-8 file at ``path`` as read in text mode: a leading byte-order
+    mark skipped, and ``\\r\\n`` and ``\\r`` read as ``\\n``, the only line end a reader
+    splits at.  A file that cannot be read raises ``error("cannot read 'PATH': reason")``,
+    and a byte that is not UTF-8 raises ``error("line N: not valid UTF-8")``."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            yield handle
+            return handle.read()
     except OSError as exc:
         raise error(f"cannot read {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
@@ -138,8 +136,7 @@ def open_text(path: str, error: Callable[[str], Exception]) -> Iterator[TextIO]:
 
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
-    with open_text(path, GroupSpecError) as handle:
-        return parse_group_file(handle, cap)
+    return parse_group_file(read_text(path, GroupSpecError), cap)
 
 
 def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -151,9 +148,9 @@ def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
         group = reader.expr()
     except RecursionError:
         raise GroupSpecError("expression nested too deeply") from None
-    found, rest, _ = reader.token()
+    found, rest, column = reader.token()
     if found is not None:
-        raise GroupSpecError(f"trailing input after expression: {rest!r}")
+        raise GroupSpecError(f"trailing input after expression: {rest!r} at column {column}")
     return group
 
 
@@ -182,24 +179,24 @@ def _parse_block(lines: list[tuple[int, str]], cap: int = DEFAULT_CAP) -> PermGr
     return PermGroup(degree, gens, cap)
 
 
-def _content_lines(text: Union[str, Iterable[str]]) -> list[tuple[int, str]]:
-    """(line number, content) for each line that is not blank once its ``#`` comment is
-    cut; a ``str`` is split by ``splitlines()``, anything else gives one line per item."""
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, content) for each line of ``text``, split at "\\n", that is not blank
+    once its ``#`` comment is cut."""
     out = []
-    for number, raw in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((number, line))
     return out
 
 
-def parse_group_file(text: Union[str, Iterable[str]], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Parse a single group block (degree= line plus gen= lines)."""
+def parse_group_file(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
+    """Parse a single group block (degree= line plus gen= lines) from a file's text."""
     return _parse_block(_content_lines(text), cap)
 
 
-def parse_paired_file(text: Union[str, Iterable[str]]) -> DualRep:
-    """Parse two aligned group blocks separated by a --- line."""
+def parse_paired_file(text: str) -> DualRep:
+    """Parse two aligned group blocks separated by a --- line from a file's text."""
     lines = _content_lines(text)
     split_at = [i for i, (_, line) in enumerate(lines) if line == "---"]
     if len(split_at) != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -389,18 +389,16 @@ def loo_max_shift_slow(samples: Sequence[tuple[float, float]], log_power) -> flo
 # census ingestion, one CensusRecord per line
 
 
-def read_census_records_slow(stream: Union[str, TextIO, Iterable[str]]) -> list[CensusRecord]:
-    """Parse a census stream into records, rejecting malformed lines by number.
+def read_census_records_slow(text: str) -> list[CensusRecord]:
+    """Parse a census file's text, split at "\\n", into records, rejecting malformed
+    lines by number.
 
     Format: first line exactly ``degree,group,abs_disc``, then comma-separated
     records with integer degree, a label without commas, and a positive
     integer absolute discriminant.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
-    if not lines or lines[0].strip() != CENSUS_HEADER:
+    lines = text.split("\n")
+    if lines[0].strip() != CENSUS_HEADER:
         raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
     records = []
     for number, line in enumerate(lines[1:], start=2):
@@ -425,14 +423,14 @@ def read_census_records_slow(stream: Union[str, TextIO, Iterable[str]]) -> list[
     return records
 
 
-def ingest_census_slow(stream: Union[str, TextIO, Iterable[str]]) -> dict[str, DiscriminantTally]:
+def ingest_census_slow(text: str) -> dict[str, DiscriminantTally]:
     """Read a census of fields (one per line) and group it into tallies by label.
 
     Repeated (label, abs_disc) records accumulate multiplicity, and the tally repeats
     each |disc| that many times.
     """
     grouped: dict[str, dict[int, int]] = {}
-    for record in read_census_records_slow(stream):
+    for record in read_census_records_slow(text):
         merged = grouped.setdefault(record.group_label, {})
         merged[record.abs_disc] = merged.get(record.abs_disc, 0) + 1
     return {

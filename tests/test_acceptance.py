@@ -27,7 +27,7 @@ from galcount.constructions import (
     symmetric_natural,
     wreath,
 )
-from galcount.groupspec import parse_group_expr
+from galcount.groupspec import parse_group_expr, read_text
 
 from oracles import (
     biquadratic_discs_slow,
@@ -262,8 +262,7 @@ GENUINE_CENSUS = DATA_DIR / "cubic_census.csv"
 )
 def test_criterion_9_genuine_cubic_census():
     with criterion(9, "genuine cubic census fits exponent within 0.1 of 1"):
-        with open(GENUINE_CENSUS, encoding="utf-8") as handle:
-            tallies = fields.ingest_census(handle)
+        tallies = fields.ingest_census(read_text(str(GENUINE_CENSUS), fields.CensusFormatError))
         label = "S3" if "S3" in tallies else sorted(tallies)[0]
         tally = tallies[label]
         top = tally.entries[-1][0]

@@ -1,8 +1,10 @@
 import pytest
 
-from galcount import fields, fitting
+from galcount import fields, fitting, groups
 from galcount.cli import _parse_grid, main
+from galcount.constructions import check_index_domination
 from galcount.groups import PermGroup
+from galcount.groupspec import GroupSpecError, parse_group_file, parse_paired_file
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +255,38 @@ def test_samples_with_byte_order_mark(tmp_path, capsys):
     path.write_bytes(b"\xef\xbb\xbfx,count\n100,10\n1000,31\n10000,100\n")
     code, out, _ = run_cli(capsys, "fit", "--samples", str(path))
     assert code == 0 and "samples: 3 used, 0 dropped" in out
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x1c", "\x85", "\u2028"])  # each ends a line for str.splitlines()
+def test_reader_text_reads_as_its_file(tmp_path, capsys, sep):
+    # a reader given a file's text and the CLI given the file's bytes split lines
+    # alike, at "\n" only, so they give one tally or group and one error
+    path = tmp_path / "input.txt"
+
+    def cli(text, *argv):
+        path.write_bytes(text.encode("utf-8"))
+        return run_cli(capsys, *argv, str(path))
+
+    label = f"S{sep}3"
+    census = f"degree,group,abs_disc\n3,{label},23\n3,{label},31\n3,C3,7\n"
+    tally = fields.ingest_census(census)[label]
+    rows = "".join(f"{x},{z}\n" for x, z in fields.tally_samples(tally, _parse_grid("10:100:3")))
+    assert cli(census, "count", "census", "--label", label, "--grid", "10:100:3", "--file") == (0, "x,count\n" + rows, "")
+    bad = f"degree,group,abs_disc\n3,S3,2{sep}3\n"
+    with pytest.raises(fields.CensusFormatError) as exc:
+        fields.ingest_census(bad)
+    assert cli(bad, "count", "census", "--label", "S3", "--file") == (5, "", f"error: {exc.value}\n")
+
+    block = f"degree=3\ngen=(1 2{sep}3)  # a{sep}comment\n"
+    group = parse_group_file(block)
+    code, out, _ = cli(block, "aval", "--file")
+    assert code == 0 and out.startswith(f"degree: 3\norder: {group.order()}\na(G): {group.a_invariant()}\n")
+    assert check_index_domination(parse_paired_file(block + "---\n" + block)).holds
+    assert cli(block + "---\n" + block, "compare-reps", "--file") == (0, "HOLDS\n", "")
+    bad = f"degree=3\ngen=(1 2{sep}9)\n"
+    with pytest.raises(GroupSpecError) as exc:
+        parse_group_file(bad)
+    assert cli(bad, "aval", "--file") == (2, "", f"error: {exc.value}\n")
 
 
 def test_grid_beyond_float_range_exit_2(capsys):
@@ -516,9 +550,9 @@ def test_compare_reps_inconsistent_pair_exit_7(tmp_path, capsys):
 
 
 def test_compare_reps_inconsistent_pair_over_cap_exit_7(tmp_path, capsys):
-    # the diagonal group both sides generate does not fit under the cap, but the chain
-    # orders refuse the pair first: C2 against C3 (diagonal C6), and S4 on (1 2), (1 2 3 4)
-    # against S4 on the same two generators swapped (diagonal of order 96)
+    # each side fits the cap and the diagonal group both sides generate does not, but the
+    # chain orders refuse the pair first: C2 against C3 (diagonal C6), and S4 on (1 2),
+    # (1 2 3 4) against S4 on the same two generators swapped (diagonal of order 96)
     path = tmp_path / "pair.grp"
     for text, cap in (
         ("degree=2\ngen=(1 2)\n---\ndegree=3\ngen=(1 2 3)\n", 5),
@@ -527,3 +561,19 @@ def test_compare_reps_inconsistent_pair_over_cap_exit_7(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "--cap", str(cap), "compare-reps", "--file", str(path))
         assert (code, out) == (7, "") and "identity" in err
+
+
+def test_compare_reps_side_over_cap_exit_3_before_any_unbounded_chain(tmp_path, capsys, monkeypatch):
+    # both sides are S 100 on (1 2), (1 2 ... 100): each side's chain is built with the cap
+    # and refused while it grows, so no chain, the diagonal's included, is built without it
+    build = groups._schreier_sims
+
+    def bounded(gens, cap=None):
+        assert cap is not None, "a stabilizer chain was built without the cap"
+        return build(gens, cap)
+
+    monkeypatch.setattr(groups, "_schreier_sims", bounded)
+    block = "degree=100\ngen=(1 2)\ngen=(" + " ".join(map(str, range(1, 101))) + ")\n"
+    path = tmp_path / "s100.pair"
+    path.write_text(block + "---\n" + block, encoding="utf-8")
+    assert run_cli(capsys, "compare-reps", "--file", str(path)) == (3, "", "error: group order exceeds cap 1000000\n")

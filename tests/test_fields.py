@@ -1,5 +1,4 @@
 import bisect
-import io
 import math
 import random
 
@@ -290,7 +289,7 @@ def test_ingest_census():
     assert tallies["C3"].total() == 1
 
     assert ingest_census("degree,group,abs_disc\n") == {}
-    assert ingest_census(io.StringIO("degree,group,abs_disc\n3,S3,23\n"))["S3"].total() == 1
+    assert ingest_census("degree,group,abs_disc\n3,S3,23")["S3"].total() == 1  # no final newline
 
 
 def test_ingest_census_errors():
