@@ -9,6 +9,12 @@ discriminant, and fits the counts to c * x^a * (log x)^b to compare the
 empirical growth exponent with a(G).
 """
 
+import os as _os
+
+# OpenBLAS's worker pool costs each process about 60 ms of CPU and only serves
+# the <=3-column fit; one thread keeps its floats independent of the core count.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constructions import (
     DominationReport,
     DominationWitness,
@@ -68,4 +74,5 @@ from .sieves import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules stay reachable as attributes, but `import *` binds none of them
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], type(_os))]

@@ -452,6 +452,33 @@ def test_fit_with_predict_fits_once(capsys, monkeypatch):
     assert len(fits) == 1  # the verdict compares the fit already made
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--family", "quadratic", "--predict", "S 2"],
+            "a_hat: 0.99918857\nc_hat: 0.61458011\nlog_power: 0 (fixed)\nrms_residual: 0.0035270733\n"
+            "samples: 12 used, 0 dropped\npredicted a(G): 1\n|a_hat - a(G)|: 0.0008114288\ntolerance: 0.05\n",
+        ),
+        (
+            ["--family", "cyclic", "--ell", "3", "--predict", "C 3"],
+            "a_hat: 0.49741118\nc_hat: 0.16380077\nlog_power: 0 (fixed)\nrms_residual: 0.10885396\n"
+            "samples: 12 used, 0 dropped\npredicted a(G): 1/2\n|a_hat - a(G)|: 0.0025888205\ntolerance: 0.05\n",
+        ),
+        (
+            ["--family", "biquadratic", "--predict", "product(C 2, C 2)"],
+            "a_hat: 0.45091728\nc_hat: 0.0032444784\nlog_power: 2.4498937 (fitted)\nrms_residual: 0.014298704\n"
+            "samples: 12 used, 0 dropped\npredicted a(G): 1/2\n|a_hat - a(G)|: 0.049082721\ntolerance: 0.1\n",
+        ),
+    ],
+)
+def test_fit_with_predict_default_grid_output(capsys, argv, expected):
+    # byte for byte: a change in how the fit is computed that moves any printed digit fails here
+    code, out, err = run_cli(capsys, "fit", *argv)
+    assert (code, err) == (0, "")
+    assert out == expected + "verdict: WITHIN tolerance (empirical evidence, not a proof)\n"
+
+
 def test_fit_refuses_a_tolerance_that_is_nan(capsys):
     code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2", "--tolerance", "nan")
     assert (code, out) == (2, "") and "tolerance must be a finite number >= 0" in err
