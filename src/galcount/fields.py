@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .sieves import introot, is_prime, mobius, prime_array, squarefree_sieve
+from .sieves import _BLOCK, introot, is_prime, mobius, prime_array, squarefree_sieve
 
 
 class CensusFormatError(ValueError):
@@ -24,7 +24,6 @@ class CensusFormatError(ValueError):
 
 
 _IntOrArray = Union[int, np.ndarray]  # an exact int, or int64 values elementwise
-_QUADRATIC_BLOCK = 1 << 16  # odd d per block of the S(y) dot product in ``quadratic_samples``
 
 
 def _discriminant(s: _IntOrArray) -> _IntOrArray:
@@ -61,8 +60,8 @@ def count_quadratic(x: int) -> int:
 
 def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, count) pairs on an ascending grid, sharing one Möbius sieve up to sqrt(max(grid)).
-    Each S(y) is the int8 mu(d) dot ceil(floor(y / d^2) / 2) over odd d, ``_QUADRATIC_BLOCK``
-    d at a time; no term or partial sum exceeds y, so int64 is exact up to 2**63 - 1, and a
+    Each S(y) is the int8 mu(d) dot ceil(floor(y / d^2) / 2) over odd d, ``_BLOCK`` d
+    at a time; no term or partial sum exceeds y, so int64 is exact up to 2**63 - 1, and a
     larger x raises ValueError before anything is sieved."""
     grid = list(grid)
     _require_ascending(grid)
@@ -72,8 +71,8 @@ def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
 
     def odd_squarefree(y: int) -> int:
         total, stop = 0, math.isqrt(y) + 1
-        for start in range(1, stop, 2 * _QUADRATIC_BLOCK):
-            d = np.arange(start, min(start + 2 * _QUADRATIC_BLOCK, stop), 2, dtype=np.int64)
+        for start in range(1, stop, 2 * _BLOCK):
+            d = np.arange(start, min(start + 2 * _BLOCK, stop), 2, dtype=np.int64)
             q = y // (d * d)
             total += int(np.dot(mu[d], q - q // 2))  # q - q // 2 is ceil(q / 2) with nothing above q
         return total
@@ -327,23 +326,21 @@ def ingest_census(text: str) -> dict[str, DiscriminantTally]:
     return {label: DiscriminantTally(label, discs) for label, discs in grouped.items()}
 
 
-_CENSUS_BLOCK = 1 << 20  # characters per array block, before the cut at the next newline
-
-
 def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
     """Sorted int64 abs_disc arrays by group label, in order of first appearance,
-    read a block of about ``_CENSUS_BLOCK`` characters at a time, each block cut
-    after a newline; None unless the first line is exactly CENSUS_HEADER and every
-    later line is canonical: empty, or three comma-separated fields, a degree
-    ``[1-9][0-9]*``, a label of printable ASCII (0x20-0x7E, no comma) with no space
-    at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads
-    each canonical line to the same values."""
+    read a block of about ``_BLOCK`` characters at a time, each block cut after a
+    newline, so memory is the text plus one block besides the arrays; None unless
+    the first line is exactly CENSUS_HEADER and every later line is canonical:
+    empty, or three comma-separated fields, a degree ``[1-9][0-9]*``, a label of
+    printable ASCII (0x20-0x7E, no comma) with no space at either end, and an
+    abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads each canonical line to
+    the same values."""
     if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
         return None
     parts: dict[str, list[np.ndarray]] = {}
     start = len(CENSUS_HEADER) + 1
     while start < len(text):
-        cut = text.find("\n", start + _CENSUS_BLOCK) + 1 or len(text)
+        cut = text.find("\n", start + _BLOCK) + 1 or len(text)
         try:
             block = text[start:cut].encode("ascii")
         except UnicodeEncodeError:
@@ -354,7 +351,7 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
         for label, discs in groups:
             parts.setdefault(label, []).append(discs)
         start = cut
-    return {label: np.sort(np.concatenate(arrays)) for label, arrays in parts.items()}
+    return {label: np.sort(np.concatenate(parts.pop(label))) for label in list(parts)}
 
 
 def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:

@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+_BLOCK = 1 << 16  # elements per array block: quadratic dot products, divisor ratios, census text
+
 
 def prime_array(limit: int) -> np.ndarray:
     """All primes p <= limit, ascending, as an int64 array, by the sieve of Eratosthenes."""
@@ -103,62 +105,68 @@ def introot(x: int, k: int) -> int:
         r = s
 
 
-def _powerful_parts(k: int, x: int, squarefree: np.ndarray):
-    """Yield all products prod = c_{k+1}^{k+1} * ... * c_{2k-1}^{2k-1} <= x with the
-    c_j squarefree and pairwise coprime.
+def _fits(r: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
+    """r**k <= q for each r >= 1, as k floor divisions leaving q >= 1: no power, no overflow."""
+    for _ in range(k):
+        q = q // r
+    return q >= 1
 
-    Every k-powerful integer factors uniquely as b^k times such a product, so
-    the enumeration needs no deduplication.
-    """
-    exps = list(range(k + 1, 2 * k))
 
-    def rec(idx: int, prod: int, used: tuple[int, ...]):
-        if idx == len(exps):
-            yield prod
-            return
-        j = exps[idx]
-        c = 1
-        while prod * c**j <= x:
-            if squarefree[c] and all(math.gcd(c, u) == 1 for u in used):
-                yield from rec(idx + 1, prod * c**j, used + (c,))
-            c += 1
+def _roots(q: np.ndarray, log_q: np.ndarray, k: int) -> np.ndarray:
+    """floor(q**(1/k)) for each q >= 1 (int64 or ``dtype=object``) as int64: the float
+    estimate exp(log_q / k), corrected one step at a time in exact integers."""
+    r = np.maximum(np.floor(np.exp(log_q / k)), 1).astype(np.int64)
+    while not (low := _fits(r, k, q)).all():
+        r -= ~low
+    while (high := _fits(r + 1, k, q)).any():
+        r += high
+    return r
 
-    yield from rec(0, 1, ())
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, c) for each i and c = 1..counts[i], in that order, as two int64 arrays."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+
+
+def _powerful_parts(k: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The products prod = c_{k+1}^{k+1} * ... * c_{2k-1}^{2k-1} <= x, c_j squarefree and
+    pairwise coprime, each with its number of b >= 1 with prod * b^k <= x: one array pass per
+    j expands each partial product into its c <= (x / prod)^(1/j), kept when squarefree and
+    coprime to rad, the product of the c used (<= x^(1/(k+1)), so int64).  Parts are int64
+    below 2**63, else ``dtype=object``; every k-powerful n is b^k times exactly one part."""
+    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
+    prod, rad, log_prod = np.ones(1, dtype=np.int64 if x < 2**63 else object), np.ones(1, dtype=np.int64), np.zeros(1)
+    for j in range(k + 1, 2 * k):
+        owner, c = _expand(_roots(x // prod, math.log(x) - log_prod, j))
+        keep = squarefree[c] & (np.gcd(c, rad[owner]) == 1)
+        owner, c = owner[keep], c[keep]
+        prod, rad, log_prod = prod[owner] * c.astype(prod.dtype) ** j, rad[owner] * c, log_prod[owner] + j * np.log(c)
+    return prod, _roots(x // prod, math.log(x) - log_prod, k)
 
 
 def powerful_count(k: int, x: int) -> int:
     """Number of n <= x whose primes all occur with exponent >= k.
 
-    Sublinear in x: sums floor(x / prod)^(1/k) over the squarefree coprime
-    part enumeration, exactly and without factoring each n.
+    Sublinear in x: sums floor(x / prod)^(1/k) over the squarefree coprime parts, exactly
+    and without factoring each n; memory is the parts array and one pass's candidates.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if x < 1:
-        return 0
-    if k == 1:
-        return x
-    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
-    return sum(introot(x // prod, k) for prod in _powerful_parts(k, x, squarefree))
+    if x < 1 or k == 1:
+        return max(x, 0)
+    return int(np.sum(_powerful_parts(k, x)[1], dtype=object))
 
 
 def powerful_numbers(k: int, x: int) -> list[int]:
-    """Sorted list of the k-powerful integers <= x."""
+    """Sorted list of the k-powerful integers <= x: each part times b^k for b = 1, 2, ..."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if x < 1:
-        return []
-    if k == 1:
+    if x < 1 or k == 1:
         return list(range(1, x + 1))
-    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
-    out = []
-    for prod in _powerful_parts(k, x, squarefree):
-        b = 1
-        while prod * b**k <= x:
-            out.append(prod * b**k)
-            b += 1
-    out.sort()
-    return out
+    prod, counts = _powerful_parts(k, x)
+    owner, b = _expand(counts)
+    return np.sort(prod[owner] * b.astype(prod.dtype) ** k).tolist()
 
 
 def divisor_counts(limit: int) -> np.ndarray:
@@ -186,13 +194,17 @@ class DivisorBoundReport:
 
 
 def divisor_bound_check(limit: int, epsilon: float) -> DivisorBoundReport:
-    """Compare max of t(n)/n^epsilon over n <= limit with exp(2^(1/eps)/(eps log 2))."""
+    """Compare max of t(n)/n^epsilon over n <= limit with exp(2^(1/eps)/(eps log 2)), for
+    a finite eps > 0, from the int32 divisor table (4 bytes per n) plus one ``_BLOCK`` of
+    ratios at a time."""
     eps = float(epsilon)
-    if limit < 1 or eps <= 0:
-        raise ValueError("limit must be positive and epsilon > 0")
+    if limit < 1 or not 0 < eps < math.inf:
+        raise ValueError("limit must be positive and epsilon finite and > 0")
     t = divisor_counts(limit)
-    n = np.arange(limit + 1, dtype=np.float64)
-    max_ratio = float((t[1:] / n[1:] ** eps).max())
+    max_ratio = 0.0
+    for start in range(1, limit + 1, _BLOCK):
+        powers = np.arange(start, min(start + _BLOCK, limit + 1), dtype=np.float64) ** eps
+        max_ratio = max(max_ratio, float((t[start : start + powers.size] / powers).max()))
     with np.errstate(over="ignore"):
         bound = float(np.exp(2.0 ** (1.0 / eps) / (eps * math.log(2.0))))
     return DivisorBoundReport(max_ratio, bound, max_ratio <= bound)

@@ -6,7 +6,9 @@ closure, element lists from a closure one ``Perm`` product at a time instead
 of the image-array engine, coset actions and the domination check from ``Perm``
 sets and dicts with each side enumerated on its own instead of one diagonal
 image array, squarefree/powerful tests from smallest-prime-factor
-factorization instead of square striking, cyclic-field multiplicities from counting
+factorization instead of square striking, powerful counts from a recursive
+walk over their squarefree coprime parts instead of one array pass per
+exponent, cyclic-field multiplicities from counting
 characters (solutions of x^ell = 1 plus Moebius over the divisor lattice), or
 from a recursive walk over products of split primes, instead of the
 multiplicative conductor table, biquadratic triples from a
@@ -29,6 +31,7 @@ from galcount.constructions import DominationReport, DominationWitness, DualRep,
 from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, DiscriminantTally
 from galcount.groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from galcount.perms import Perm
+from galcount.sieves import introot, squarefree_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +340,42 @@ def divisor_count_slow(n: int) -> int:
             c += 1 if d * d == n else 2
         d += 1
     return c
+
+
+def _powerful_parts_slow(k: int, x: int):
+    """The products c_{k+1}^{k+1} * ... * c_{2k-1}^{2k-1} <= x with the c_j squarefree and
+    pairwise coprime, by a recursive walk over the exponents, one candidate c at a time."""
+    squarefree = squarefree_sieve(max(introot(x, k + 1), 1))
+    exps = list(range(k + 1, 2 * k))
+
+    def rec(idx: int, prod: int, used: tuple[int, ...]):
+        if idx == len(exps):
+            yield prod
+            return
+        j = exps[idx]
+        c = 1
+        while prod * c**j <= x:
+            if squarefree[c] and all(math.gcd(c, u) == 1 for u in used):
+                yield from rec(idx + 1, prod * c**j, used + (c,))
+            c += 1
+
+    yield from rec(0, 1, ())
+
+
+def powerful_count_slow(k: int, x: int) -> int:
+    """Number of k-powerful n <= x (k >= 2): introot(x // part, k) summed over the parts."""
+    return sum(introot(x // prod, k) for prod in _powerful_parts_slow(k, x)) if x >= 1 else 0
+
+
+def powerful_numbers_slow(k: int, x: int) -> list[int]:
+    """Sorted k-powerful n <= x (k >= 2): each part times b^k for b = 1, 2, ..."""
+    out = []
+    for prod in _powerful_parts_slow(k, x) if x >= 1 else ():
+        b = 1
+        while prod * b**k <= x:
+            out.append(prod * b**k)
+            b += 1
+    return sorted(out)
 
 
 def regular_index_formula(order: int, element_order: int) -> Fraction:

@@ -1,5 +1,6 @@
 """Property test of census ingestion against the one-record-per-line reference."""
 
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -143,7 +144,7 @@ def outcome(ingest, source):
 def test_ingest_matches_reference(text):
     want = outcome(ingest_census_slow, text)
     assert outcome(ingest_census, text) == want
-    with mock.patch.object(fields, "_CENSUS_BLOCK", 16):  # several blocks, each cut at a newline
+    with mock.patch.object(fields, "_BLOCK", 16):  # several blocks, each cut at a newline
         assert outcome(ingest_census, text) == want
     try:
         records = read_census_records_slow(text)
@@ -174,9 +175,23 @@ def test_canonical_census_never_reaches_the_per_line_reader(monkeypatch):
         raise AssertionError("a canonical census reached the per-line reader")
 
     monkeypatch.setattr(fields, "_census_discs", per_line)
-    for block in (fields._CENSUS_BLOCK, 64):
-        monkeypatch.setattr(fields, "_CENSUS_BLOCK", block)
+    for block in (fields._BLOCK, 64):
+        monkeypatch.setattr(fields, "_BLOCK", block)
         assert outcome(ingest_census, text) == want
+
+
+def test_canonical_census_holds_the_text_and_one_block():
+    # traced peak on this census: 15.5 MB with 1 MiB blocks, 3.2 MB with 2**16-character
+    # blocks (mostly the 2.4 MB of int64 tallies); the bound lies halfway
+    text = canonical_census(300_000)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        ingest_census(text)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_300_000
 
 
 @pytest.mark.parametrize("bad", ["3,S3,12x"] + NEAR_MISSES)
@@ -185,7 +200,7 @@ def test_line_past_the_first_block(monkeypatch, bad):
     rows = canonical_census(400).split("\n")
     rows.insert(300, bad)
     text = "\n".join(rows) + "\n"
-    monkeypatch.setattr(fields, "_CENSUS_BLOCK", 256)
+    monkeypatch.setattr(fields, "_BLOCK", 256)
     want = outcome(ingest_census_slow, text)
     assert outcome(ingest_census, text) == want
     if bad == "3,S3,12x":

@@ -63,7 +63,7 @@ def test_count_quadratic():
 def test_quadratic_samples_at_square_boundaries(monkeypatch, block):
     # S(y) changes at the y = d^2, and the count reads S at x, x // 4 and x // 8; with
     # a block of 1 or 3 odd d, every sum over more than that many d crosses block seams
-    monkeypatch.setattr(fields, "_QUADRATIC_BLOCK", block)
+    monkeypatch.setattr(fields, "_BLOCK", block)
     grid = sorted({k * m * m + e for m in range(1, 102, 2) for k in (1, 4, 8) for e in (-1, 0, 1)})
     abs_discs = [abs(d) for d in fundamental_discriminants_slow(grid[-1])]
     assert quadratic_samples(grid) == [(x, bisect.bisect_right(abs_discs, x)) for x in grid]

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from galcount import sieves
 from galcount.sieves import (
     dirichlet_tail_probe,
     divisor_bound_check,
@@ -23,6 +25,8 @@ from oracles import (
     divisor_counts_slow,
     is_squarefree_slow,
     min_exponent,
+    powerful_count_slow,
+    powerful_numbers_slow,
     spf_table,
 )
 
@@ -124,6 +128,18 @@ def test_powerful_against_factorization():
         assert powerful_count(k, limit) == len(expected)
 
 
+# past 2**63 the parts are exact Python ints; each x there keeps the recursion near a second
+# (about 3 s for k = 2, whose recursion at 2**63 takes that long)
+POWERFUL_BEYOND_INT64 = {2: 2**63 + 1, 3: 2**68, 4: 2**76, 5: 2**88}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_powerful_count_matches_recursion(k):
+    for x in (0, 1, 2, 7, 100, 10**6 + 3, 10**12, 2**62 - 1, 2**62 + 1, POWERFUL_BEYOND_INT64[k]):
+        assert powerful_count(k, x) == powerful_count_slow(k, x), (k, x)
+    assert powerful_numbers(k, 10**6) == powerful_numbers_slow(k, 10**6)
+
+
 def test_powerful_monotonicity():
     for x in (10, 100, 1000, 4096):
         for k in (1, 2, 3, 4):
@@ -165,6 +181,32 @@ def test_divisor_bound_check():
     assert report.bound == pytest.approx(math.exp(2 / math.log(2)))
     for eps in (1.0, 0.5, 0.25):
         assert divisor_bound_check(100_000, eps).holds
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_divisor_bound_check_refuses_non_finite_epsilon(eps):
+    # a NaN ratio would drop out of the running maximum and report holds=True
+    with pytest.raises(ValueError, match="finite"):
+        divisor_bound_check(100, eps)
+
+
+@pytest.mark.parametrize("limit", [1, sieves._BLOCK - 1, sieves._BLOCK, sieves._BLOCK + 1, 3 * sieves._BLOCK + 7, 10**6])
+def test_divisor_bound_check_blocks_match_one_array(limit):
+    t = divisor_counts(limit)
+    n = np.arange(limit + 1, dtype=np.float64)
+    for eps in (0.25, 0.5, 1.0):
+        assert divisor_bound_check(limit, eps).max_ratio == float((t[1:] / n[1:] ** eps).max())
+
+
+def test_divisor_bound_check_holds_one_table_and_one_block():
+    # the int32 table is 4 MB; three float64 arrays over every n would add 24 MB
+    tracemalloc.start()
+    try:
+        divisor_bound_check(10**6, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_tail_probe_basel():
