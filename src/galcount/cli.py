@@ -5,6 +5,10 @@ Exit codes: 0 success (and all table rows / checks passing), 1 table FAIL,
 2 bad flags or unparsable group, 3 enumeration cap exceeded, 4 intransitive
 group, 5 census I/O or format error, 6 insufficient samples, 7 inconsistent
 paired representation.
+
+Each command imports the layers it runs when it runs, so a child process that
+counts fields never loads the group layers, and one that computes a(G) never
+loads the field counts or the fit.
 """
 
 from __future__ import annotations
@@ -13,14 +17,20 @@ import argparse
 import contextlib
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import constructions, fields, fitting, sieves, tables
-from .constructions import InconsistentDualRep, check_index_domination, dual_regular_pair
-from .fields import CensusFormatError
-from .fitting import InsufficientSamplesError
-from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup
-from .groupspec import GroupSpecError, load_group_file, parse_group_expr, parse_paired_file, read_text
+from .errors import (
+    DEFAULT_CAP,
+    CensusFormatError,
+    EnumerationCapError,
+    GroupSpecError,
+    InconsistentDualRep,
+    InsufficientSamplesError,
+    read_text,
+)
+
+if TYPE_CHECKING:
+    from .groups import PermGroup
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -32,6 +42,7 @@ EXIT_SAMPLES = 6
 EXIT_INCONSISTENT = 7
 
 FAMILIES = ["quadratic", "cyclic", "biquadratic", "census"]
+TABLE_NAMES = ["deg6", "deg8"]  # the keys of tables.TABLES, which only the table command imports
 
 
 class _Intransitive(Exception):
@@ -50,13 +61,17 @@ def _grid_value(text: str) -> int:
 
 
 def _parse_grid(spec: str) -> list[int]:
+    from .fitting import geometric_grid
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise GroupSpecError(f"grid must be lo:hi:points, got {spec!r}")
-    return fitting.geometric_grid(*map(_grid_value, parts))
+    return geometric_grid(*map(_grid_value, parts))
 
 
 def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGroup:
+    from .groupspec import load_group_file, parse_group_expr
+
     if (expr is None) == (path is None):
         raise GroupSpecError("give exactly one of a group expression or --file")
     if path is not None:
@@ -81,6 +96,9 @@ def _cmd_aval(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import tables
+    from .groupspec import parse_group_expr
+
     # the CSV is opened first, so a path that cannot be written fails before any row prints
     try:
         csv = open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
@@ -112,6 +130,8 @@ def _cmd_table(args) -> int:
 
 
 def _family_samples(args) -> list[tuple[int, int]]:
+    from . import fields, fitting, sieves
+
     if args.family == "quadratic":
         grid = _parse_grid(args.grid or "100:1e7:12")
         return fields.quadratic_samples(grid)
@@ -182,6 +202,8 @@ def _read_samples(path: str) -> list[tuple[int, int]]:
 
 
 def _cmd_fit(args) -> int:
+    from . import fitting
+
     if args.samples:
         samples = _read_samples(args.samples)
     elif args.family:
@@ -199,6 +221,8 @@ def _cmd_fit(args) -> int:
     result = fitting.fit_exponent(samples, log_power=log_power)
     verdict = None
     if args.predict:  # before anything prints, so a refused prediction prints no fit either
+        from .groupspec import parse_group_expr
+
         group = parse_group_expr(args.predict, args.cap)
         tolerance = args.tolerance
         if tolerance is None:
@@ -219,6 +243,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare_reps(args) -> int:
+    from . import constructions
+    from .groupspec import parse_paired_file
+
     if (args.file is None) == (args.example is None):
         raise GroupSpecError("give exactly one of --file or --example")
     if args.example is not None:
@@ -227,10 +254,10 @@ def _cmd_compare_reps(args) -> int:
         product = constructions.direct_product(
             constructions.heisenberg_mod3(args.cap), constructions.cyclic_natural(2, args.cap)
         )
-        dual = dual_regular_pair(product)
+        dual = constructions.dual_regular_pair(product)
     else:
         dual = parse_paired_file(read_text(args.file, GroupSpecError))
-    report = check_index_domination(dual, args.cap)
+    report = constructions.check_index_domination(dual, args.cap)
     if report.holds:
         print("HOLDS")
     else:
@@ -260,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aval.set_defaults(fn=_cmd_aval)
 
     p_table = sub.add_parser("table", help="recompute an expected-exponent table")
-    p_table.add_argument("which", choices=sorted(tables.TABLES))
+    p_table.add_argument("which", choices=TABLE_NAMES)
     p_table.add_argument("--csv", help="also write machine-readable rows to this path")
     p_table.set_defaults(fn=_cmd_table)
 

@@ -10,13 +10,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import DEFAULT_CAP, EnumerationCapError, PermGroup, a_value, component_minima, cycle_inds
+from .errors import DEFAULT_CAP, EnumerationCapError, InconsistentDualRep
+from .groups import PermGroup, a_value, component_minima, cycle_inds
 from .perms import Perm
-from .sieves import is_prime
-
-
-class InconsistentDualRep(ValueError):
-    """The two generator lists do not present the same abstract group."""
 
 
 def _points(n: int, least: int, cap: int, transitive: bool = True) -> np.ndarray:
@@ -143,6 +139,8 @@ def sl2_natural(p: int, cap: int = DEFAULT_CAP) -> PermGroup:
     lexicographically so the output is reproducible.  The action is faithful,
     so an order p(p^2 - 1) over the cap is refused before any vector is built.
     """
+    from .sieves import is_prime  # here, so a group command that builds no SL2 never loads the sieves
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     order = p * (p * p - 1)

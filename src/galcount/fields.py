@@ -12,11 +12,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .errors import CensusFormatError
 from .sieves import _BLOCK, introot, is_prime, mobius, prime_array, squarefree_sieve
-
-
-class CensusFormatError(ValueError):
-    """A census violates the ``degree,group,abs_disc`` format."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +326,94 @@ def ingest_census(text: str) -> dict[str, DiscriminantTally]:
 def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
     """Sorted int64 abs_disc arrays by group label, in order of first appearance,
     read a block of about ``_BLOCK`` characters at a time, each block cut after a
-    newline, so memory is the text plus one block besides the arrays; None unless
-    the first line is exactly CENSUS_HEADER and every later line is canonical:
-    empty, or three comma-separated fields, a degree ``[1-9][0-9]*``, a label of
-    printable ASCII (0x20-0x7E, no comma) with no space at either end, and an
-    abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads each canonical line to
-    the same values."""
+    newline; None unless the first line is exactly CENSUS_HEADER and every later
+    line is canonical: empty, or three comma-separated fields, a degree
+    ``[1-9][0-9]*``, a label of printable ASCII (0x20-0x7E, no comma) with no space
+    at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads
+    each canonical line to the same values.
+
+    Each block gives only its lines' values and label ids, and the lines are grouped
+    by label once, after the last block, so memory is the text, one block, and an
+    int64 value and an id for each line."""
     if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
         return None
-    parts: dict[str, list[np.ndarray]] = {}
     start = len(CENSUS_HEADER) + 1
+    rows = text.count("\n", start) + 1  # at least the number of lines
+    value, ident = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.min_scalar_type(rows))
+    vocabularies: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+    names: list[str] = []  # by id
+    first_line: list[int] = []  # by id
+    line = 0
     while start < len(text):
         cut = text.find("\n", start + _BLOCK) + 1 or len(text)
         try:
             block = text[start:cut].encode("ascii")
         except UnicodeEncodeError:
             return None
-        groups = _canonical_block(block if block.endswith(b"\n") else block + b"\n")
-        if groups is None:
+        parsed = _canonical_block(block if block.endswith(b"\n") else block + b"\n")
+        if parsed is None:
             return None
-        for label, discs in groups:
-            parts.setdefault(label, []).append(discs)
+        discs, keyed = parsed
+        value[line : line + discs.size] = discs
+        for keys, lines in keyed:
+            ident[line + lines] = _label_ids(keys, line + lines, vocabularies, names, first_line)
+        line += discs.size
         start = cut
-    return {label: np.sort(np.concatenate(parts.pop(label))) for label in list(parts)}
+    if not line:
+        return {}
+    value, ident = value[:line], ident[:line]
+    shift = 63 - (len(names) - 1).bit_length()  # the bits below the ids
+    heads = np.arange(1, len(names), dtype=np.int64)  # the id that starts each tally after the first
+    if int(value.max()) >> shift == 0:
+        # each line's id above its abs_disc in one int64, so one sort in place groups the
+        # labels and orders each; shifted a block at a time, so no full-length temporary
+        for at in range(0, line, _BLOCK):
+            value[at : at + _BLOCK] |= ident[at : at + _BLOCK].astype(np.int64) << shift
+        value.sort()
+        bounds = np.searchsorted(value, heads << shift)
+        value &= (1 << shift) - 1
+    else:
+        order = np.lexsort((value, ident))
+        value, bounds = value[order], np.searchsorted(ident[order], heads)
+    tallies = np.split(value, bounds)
+    return {names[i]: tallies[i] for i in sorted(range(len(names)), key=first_line.__getitem__)}
 
 
-def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:
-    """(label, abs_disc values) for each label of a block of lines that each end in
-    a newline, labels in order of first appearance; None if a line is not canonical."""
-    buf = np.frombuffer(data, dtype=np.uint8)
+def _label_ids(
+    keys: np.ndarray,
+    lines: np.ndarray,
+    vocabularies: dict[np.dtype, tuple[np.ndarray, np.ndarray]],
+    names: list[str],
+    first_line: list[int],
+) -> np.ndarray:
+    """The ids of ``keys``, label keys of one dtype read at ``lines``.  ``vocabularies``
+    maps each key dtype to its known keys, ascending, and their ids; a key not yet
+    known takes the next id, and its label and line join ``names`` and ``first_line``."""
+    known, known_id = vocabularies.get(keys.dtype, (keys[:0], np.zeros(0, dtype=np.intp)))
+    pos = np.searchsorted(known, keys)
+    new = known[np.minimum(pos, known.size - 1)] != keys if known.size else np.ones(keys.size, dtype=bool)
+    if new.any():
+        fresh, first = np.unique(keys[new], return_index=True)
+        for key, at in zip(fresh.tolist(), lines[new][first].tolist()):
+            label = key.to_bytes(8, "big").lstrip(b"\0") if isinstance(key, int) else key
+            names.append(label.decode("ascii"))
+            first_line.append(at)
+        known = np.concatenate([known, fresh])
+        known_id = np.concatenate([known_id, np.arange(len(names) - fresh.size, len(names))])
+        order = np.argsort(known)
+        known, known_id = vocabularies[keys.dtype] = known[order], known_id[order]
+        pos = np.searchsorted(known, keys)
+    return known_id[pos]
+
+
+def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+    """The abs_disc of each nonempty line of a block of lines that each end in a
+    newline, and (label keys, line indices) for each kind of label key; None if a
+    line is not canonical.  A label of at most 8 bytes is keyed as the uint64 whose
+    big-endian bytes it is, which no two such labels share, since no label byte is
+    0; a wider one as an ``S{w}`` string, one width at a time, so no label is padded."""
+    padded = np.frombuffer(data + bytes(7), dtype=np.uint8)  # an 8-byte window from every position
+    buf = padded[: len(data)]
     newline = buf == 0x0A
     if not np.all(newline | ((buf >= 0x20) & (buf <= 0x7E))):
         return None
@@ -370,7 +426,7 @@ def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:
     if commas.size != 2 * ends.size or not np.all((starts <= first) & (second < ends)):
         return None
     if not ends.size:
-        return []
+        return np.zeros(0, dtype=np.int64), []
     # whether each of [start, first), [first, second + 1), [second + 1, end) is all digits;
     # an empty field reads the comma or newline at its start instead, which is no digit
     edges = np.stack([starts, first, second + 1, ends], axis=1).ravel()
@@ -385,18 +441,17 @@ def _canonical_block(data: bytes) -> Optional[list[tuple[str, np.ndarray]]]:
     for k in range(int(width.max())):  # digit column k from the right; below 10**18, so int64 is exact
         has = width > k
         value[has] += (buf[ends[has] - 1 - k] - 0x30).astype(np.int64) * 10**k
-    # labels as fixed-width S{w} keys, one width at a time, so no label is padded
     label_start, label_width = first + 1, second - first - 1
-    by_width = np.argsort(label_width, kind="stable")
-    groups = []
-    for lines in np.split(by_width, np.flatnonzero(np.diff(label_width[by_width])) + 1):
-        w = int(label_width[lines[0]])
-        keys = buf[label_start[lines, None] + np.arange(w)].view(f"S{w}").ravel()
-        labels, first_line, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        members = np.split(lines[np.argsort(inverse, kind="stable")], np.cumsum(np.bincount(inverse))[:-1])
-        groups += zip(lines[first_line].tolist(), labels.tolist(), members)
-    groups.sort(key=lambda group: group[0])
-    return [(label.decode("ascii"), value[m]) for _, label, m in groups]
+    fits = label_width <= 8
+    narrow, wide = np.flatnonzero(fits), np.flatnonzero(~fits)
+    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[label_start[narrow]].view(">u8").ravel()
+    keyed = [(words >> (8 * (8 - label_width[narrow])).astype(np.uint64), narrow)]
+    if wide.size:
+        by_width = wide[np.argsort(label_width[wide], kind="stable")]
+        for lines in np.split(by_width, np.flatnonzero(np.diff(label_width[by_width])) + 1):
+            w = int(label_width[lines[0]])
+            keyed.append((buf[label_start[lines, None] + np.arange(w)].view(f"S{w}").ravel(), lines))
+    return value, keyed
 
 
 def _census_discs(text: str, records: Optional[list[CensusRecord]] = None) -> dict[str, list[int]]:

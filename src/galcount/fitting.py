@@ -6,19 +6,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .groups import PermGroup
+from .errors import InsufficientSamplesError
+
+if TYPE_CHECKING:
+    from .groups import PermGroup
 
 LogPower = Union[float, int, str]  # a number, or "fit"
 
 MAX_GRID_POINTS = 10**6  # refused before any value is built, so a huge point count fails at once
-
-
-class InsufficientSamplesError(ValueError):
-    """Fewer than three usable samples with distinct x."""
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .errors import DEFAULT_CAP, EnumerationCapError
 from .perms import Perm
 
-DEFAULT_CAP = 10**6
 _IND_CHUNK = 1 << 16  # array entries per block of the vectorised ind, sifts and spheres
-
-
-class EnumerationCapError(RuntimeError):
-    """Group closure exceeded the element cap; the group is too large for exhaustive methods."""
 
 
 def cycle_inds(images: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Text grammar for naming permutation groups, the group-file formats, and
-``read_text``, the reader of every input file.
+"""Text grammar for naming permutation groups and the group-file formats.
 
 Expression grammar (whitespace-insensitive):
 
@@ -19,12 +18,9 @@ from typing import Callable, Optional
 
 from . import constructions
 from .constructions import DualRep
-from .groups import DEFAULT_CAP, PermGroup
+from .errors import DEFAULT_CAP, GroupSpecError, read_text
+from .groups import PermGroup
 from .perms import parse_cycles
-
-
-class GroupSpecError(ValueError):
-    """A group expression or group file cannot be parsed."""
 
 
 _FAMILIES = {
@@ -115,24 +111,6 @@ class _Reader:
             raise
         except ValueError as exc:
             raise GroupSpecError(f"column {column}: {exc}") from None
-
-
-def read_text(path: str, error: Callable[[str], Exception]) -> str:
-    """The text of the UTF-8 file at ``path`` as read in text mode: a leading byte-order
-    mark skipped, and ``\\r\\n`` and ``\\r`` read as ``\\n``, the only line end a reader
-    splits at.  A file that cannot be read raises ``error("cannot read 'PATH': reason")``,
-    and a byte that is not UTF-8 raises ``error("line N: not valid UTF-8")``."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise error(f"cannot read {path!r}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        # under surrogateescape each undecodable byte reads as a lone surrogate,
-        # which valid UTF-8 never decodes to
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            bad = (n for n, line in enumerate(handle, start=1) if any("\udc80" <= c <= "\udcff" for c in line))
-            raise error(f"line {next(bad, '?')}: not valid UTF-8") from None
 
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:

@@ -6,9 +6,7 @@ import math
 import re
 from typing import Iterable
 
-
-class CycleParseError(ValueError):
-    """Cycle expression is malformed, out of range, or repeats a point."""
+from .errors import CycleParseError
 
 
 class Perm:

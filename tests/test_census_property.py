@@ -66,7 +66,7 @@ def census_texts(draw):
 # Canonical lines are read by the array pass, everything else by the per-line
 # reader; a canonical text with a near miss on one line exercises the decline.
 PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) != ",")
-CANONICAL_LABEL = st.text(PRINTABLE, min_size=1, max_size=5).filter(lambda s: s == s.strip(" "))
+CANONICAL_LABEL = st.text(PRINTABLE, min_size=1, max_size=12).filter(lambda s: s == s.strip(" "))  # past 8 bytes too
 CANONICAL_LINE = st.one_of(
     st.tuples(
         st.integers(1, 12).map(str),
@@ -180,9 +180,25 @@ def test_canonical_census_never_reaches_the_per_line_reader(monkeypatch):
         assert outcome(ingest_census, text) == want
 
 
+@pytest.mark.parametrize("top", [3000, 10**18 - 1])
+def test_wide_labels_and_many_labels_group_alike(monkeypatch, top):
+    # labels past 8 bytes are keyed as strings, the rest as integers; with an abs_disc
+    # near 10**18, 20 labels leave no room for their ids above it in one int64
+    labels = [f"L{j}" * (j % 5 + 1) for j in range(20)]
+    rows = [CENSUS_HEADER] + [f"3,{labels[i * 7 % 20]},{top - i * 7919 % 2999}" for i in range(3000)]
+    text = "\n".join(rows)
+    want = outcome(ingest_census_slow, text)
+    assert max(len(label) for label, *_ in want) > 8
+    monkeypatch.setattr(fields, "_census_discs", None)  # a canonical census never reaches it
+    for block in (fields._BLOCK, 64):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        assert outcome(ingest_census, text) == want
+
+
 def test_canonical_census_holds_the_text_and_one_block():
     # traced peak on this census: 15.5 MB with 1 MiB blocks, 3.2 MB with 2**16-character
-    # blocks (mostly the 2.4 MB of int64 tallies); the bound lies halfway
+    # blocks (mostly the 2.4 MB of int64 tallies); the bound lies halfway.  Grouping the
+    # lines once, after the last block, holds a uint32 id beside each value: 4.8 MB
     text = canonical_census(300_000)
     tracemalloc.start()
     try:
