@@ -54,7 +54,6 @@ _SOURCES = {
         "CensusRecord",
         "DiscriminantTally",
         "biquadratic_tally",
-        "compose_discriminants",
         "count_biquadratic",
         "count_cyclic_ell",
         "count_quadratic",

@@ -72,6 +72,27 @@ def mobius(limit: int) -> np.ndarray:
     return mu
 
 
+def squarefree_omega(limit: int) -> np.ndarray:
+    """omega[n] = number of prime factors of the squarefree n, for n = 0..limit, as an
+    int8 array, and -1 at every n that is not squarefree (and at n = 0).
+
+    As in ``mobius``, only primes p <= sqrt(limit) are sieved, each dividing out of
+    rest[n] once, and a multiple of p^2 has its rest set to 0; a squarefree n left with
+    rest[n] > 1 has one more prime factor, above sqrt(limit).
+    """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    omega = np.zeros(limit + 1, dtype=np.int8)
+    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in prime_array(math.isqrt(limit)).tolist():
+        omega[p::p] += 1
+        rest[p::p] //= p
+        rest[p * p :: p * p] = 0
+    omega += rest > 1
+    omega[rest == 0] = -1
+    return omega
+
+
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Bool flags over 0..limit, True at the n >= 1 with no square divisor, by
     striking the multiples of p^2 for each prime p."""

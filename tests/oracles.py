@@ -11,8 +11,10 @@ walk over their squarefree coprime parts instead of one array pass per
 exponent, cyclic-field multiplicities from counting
 characters (solutions of x^ell = 1 plus Moebius over the divisor lattice), or
 from a recursive walk over products of split primes, instead of the
-multiplicative conductor table, biquadratic triples from a
-perfect-square test on products of three discriminants, divisor counts from
+multiplicative conductor table, biquadratic fields from a
+perfect-square test on products of three discriminants, or from one array
+pass over the closed triples of fundamental discriminants per smallest member,
+instead of counting the fields of each ramified prime set, divisor counts from
 one slice update per d <= limit instead of divisor pairs, census tallies
 from one record object per line merged through a dict instead of sorted runs,
 and leave-one-out exponent shifts from one ``np.linalg.lstsq`` refit per
@@ -23,12 +25,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from galcount.constructions import DominationReport, DominationWitness, DualRep, InconsistentDualRep
-from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, DiscriminantTally
+from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, DiscriminantTally, fundamental_discriminants
 from galcount.groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from galcount.perms import Perm
 from galcount.sieves import introot, squarefree_sieve
@@ -326,6 +328,61 @@ def biquadratic_discs_slow(xmax: int) -> list[int]:
                     out.append(product)
     out.sort()
     return out
+
+
+# ---------------------------------------------------------------------------
+# biquadratic fields from closed triples of fundamental discriminants
+
+
+_IntOrArray = Union[int, np.ndarray]  # an exact int, or int64 values elementwise
+
+
+def _kernel(d: _IntOrArray) -> _IntOrArray:
+    """Signed squarefree kernel of a fundamental discriminant: d if d = 1 (mod 4),
+    else d / 4.  Elementwise on an int64 array; an int gives an int."""
+    return d // (4 - 3 * (d % 4 == 1))
+
+
+def compose_discriminants(d1: _IntOrArray, d2: _IntOrArray) -> _IntOrArray:
+    """Fundamental discriminant of the third quadratic subfield determined by d1, d2.
+
+    Computed on squarefree kernels, where dividing by the squared gcd is exact.
+    Either argument may be an int64 array (elementwise, with values up to
+    4 * |d1 * d2|); two ints give an exact int.
+    """
+    s1, s2 = _kernel(d1), _kernel(d2)
+    if isinstance(s1, np.ndarray) or isinstance(s2, np.ndarray):
+        g = np.gcd(s1, s2)
+    else:
+        g = math.gcd(s1, s2)
+    s = (s1 // g) * (s2 // g)
+    return s * (4 - 3 * (s % 4 == 1))
+
+
+def biquadratic_discs_triples(xmax: int) -> np.ndarray:
+    """|disc| values of the biquadratic fields with |disc| <= xmax (< 2**63), as a
+    sorted int64 array, one field per unordered triple of distinct fundamental
+    discriminants closed under composition, |disc| the product of their absolute
+    values.  Each triple is found once, from its two members of smallest
+    (|d|, sign): one array pass per smallest member d1 with |d1|^3 <= xmax over
+    every d2 after it with |d1| * |d2|^2 <= xmax.  The bound on |d3| is checked
+    before the product is formed, so no value exceeds max(xmax, 4 * xmax^(2/3))."""
+    if xmax < 144:  # smallest triple is {-3, -4, 12}
+        return np.zeros(0, dtype=np.int64)
+    discs = fundamental_discriminants(math.isqrt(xmax // 3))
+    sizes = np.abs(discs)
+    found = []
+    for i, (d1, a1) in enumerate(zip(discs.tolist(), sizes.tolist())):
+        if a1 * a1 * a1 > xmax:
+            break
+        end = np.searchsorted(sizes, math.isqrt(xmax // a1), side="right")
+        d2, a2 = discs[i + 1 : end], sizes[i + 1 : end]
+        d3 = compose_discriminants(d1, d2)
+        a3 = np.abs(d3)
+        # keep a triple only from its two smallest members, and only if |disc| <= xmax
+        keep = ((a3 > a2) | ((a3 == a2) & (d3 > d2))) & (a3 <= xmax // (a1 * a2))
+        found.append(a1 * a2[keep] * a3[keep])
+    return np.sort(np.concatenate(found))
 
 
 # ---------------------------------------------------------------------------

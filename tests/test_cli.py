@@ -140,6 +140,21 @@ def test_count_cyclic_spec_grid(capsys):
     assert last == "3969,10"
 
 
+@pytest.mark.parametrize(
+    "grid, rows",
+    [
+        (  # the counts perfbench's count-biquadratic job pins
+            "10000:1e9:8",
+            "10000,47\n51795,144\n268270,436\n1389495,1258\n7196857,3456\n"
+            "37275937,9287\n193069773,24532\n1000000000,64316\n",
+        ),
+        ("1000:1e12:3", "1000,8\n31622777,8418\n1000000000000,3306085\n"),
+    ],
+)
+def test_count_biquadratic_pinned_output(capsys, grid, rows):
+    assert run_cli(capsys, "count", "biquadratic", "--grid", grid) == (0, "x,count\n" + rows, "")
+
+
 def test_count_cyclic_even_ell_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "cyclic", "--ell", "4", "--grid", "49:100:2")
     assert code == 2 and "odd prime" in err
@@ -363,11 +378,11 @@ def test_allocation_failure_exit_2(capsys, monkeypatch):
 
 
 def test_count_biquadratic_beyond_int64_exit_2(capsys, monkeypatch):
-    # refused before the squarefree sieve to sqrt(1e19 / 3), about 1.8 GB, is allocated
+    # refused before the omega sieve to sqrt(1e19), about 16 GB with its remainders, is allocated
     def refuse(limit):
         raise AssertionError("sieve started")
 
-    monkeypatch.setattr(fields, "squarefree_sieve", refuse)
+    monkeypatch.setattr(fields, "squarefree_omega", refuse)
     code, out, err = run_cli(capsys, "count", "biquadratic", "--grid", "1000:1e19:3")
     assert (code, out) == (2, "")
     assert err == "error: biquadratic counts need |disc| <= 2**63 - 1, got 10000000000000000000\n"

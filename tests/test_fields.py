@@ -10,7 +10,6 @@ from galcount.fields import (
     CensusFormatError,
     DiscriminantTally,
     biquadratic_discs,
-    compose_discriminants,
     count_biquadratic,
     count_cyclic_ell,
     count_quadratic,
@@ -25,6 +24,8 @@ from galcount.sieves import introot, powerful_numbers, prime_array
 
 from oracles import (
     biquadratic_discs_slow,
+    biquadratic_discs_triples,
+    compose_discriminants,
     cyclic_conductor_table_slow,
     cyclic_conductors_slow,
     fundamental_discriminants_slow,
@@ -193,6 +194,12 @@ def test_biquadratic_against_square_triple_oracle(x):
     assert discs.tolist() == biquadratic_discs_slow(x)
 
 
+@pytest.mark.parametrize("x", [143, 144, 145, 255, 256, 257, 10**4, 10**6, 10**7, 10**9, 5 * 10**9 + 17])
+def test_biquadratic_against_closed_triple_oracle(x):
+    discs = biquadratic_discs(x)
+    assert discs.dtype == np.int64 and np.array_equal(discs, biquadratic_discs_triples(x))
+
+
 def _random_fundamental_discriminants(rng: random.Random, count: int, bound: int) -> list[int]:
     """``count`` fundamental discriminants d != 1 with |d| <= bound, drawn as s = +-m
     for random m, kept when m has no square factor p^2 with p <= sqrt(bound)."""
@@ -216,7 +223,7 @@ def test_compose_discriminants_arrays_match_scalars():
     assert all(type(d3) is int for d3 in expected)
     assert all(math.isqrt(d1 * d2 * d3) ** 2 == d1 * d2 * d3 for (d1, d2), d3 in zip(pairs, expected))
     assert compose_discriminants(d1s, d2s).tolist() == expected
-    # one int against an array, as the biquadratic pass calls it
+    # one int against an array, as the closed-triple oracle calls it
     first = pairs[0][0]
     assert compose_discriminants(first, d2s).tolist() == [compose_discriminants(first, d2) for _, d2 in pairs]
 

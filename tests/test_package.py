@@ -17,7 +17,7 @@ EXPORTS = [
     "DivisorBoundReport", "DominationReport", "DominationWitness", "DualRep", "EnumerationCapError",
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
     "TailProbeReport", "Verdict", "alternating_natural", "biquadratic_tally", "check_index_domination",
-    "compose_discriminants", "conjecture_verdict", "coset_action", "count_biquadratic", "count_cyclic_ell",
+    "conjecture_verdict", "coset_action", "count_biquadratic", "count_cyclic_ell",
     "count_quadratic", "cyclic_conductors", "cyclic_natural", "cyclic_tally", "dihedral_natural",
     "direct_product", "dirichlet_tail_probe", "divisor_bound_check", "divisor_counts", "dual_regular_pair",
     "fit_exponent", "fundamental_discriminants", "geometric_grid", "heisenberg_mod3", "ingest_census",

@@ -16,6 +16,7 @@ from galcount.sieves import (
     powerful_count,
     powerful_numbers,
     prime_array,
+    squarefree_omega,
     squarefree_sieve,
 )
 
@@ -23,6 +24,7 @@ from oracles import (
     _mobius,
     divisor_count_slow,
     divisor_counts_slow,
+    factorize,
     is_squarefree_slow,
     min_exponent,
     powerful_count_slow,
@@ -67,6 +69,21 @@ def test_mobius_against_factorization():
     # 2 * 4999 > sqrt(9998): the prime factor above the sieved range flips the sign
     assert mobius(9998).tolist() == expected[:9999] and expected[9998] == 1
     assert mobius(4999)[4999] == -1
+
+
+def test_squarefree_omega_against_factorization():
+    limit = 10_000
+    spf = spf_table(limit)
+    expected = [-1, 0] + [len(f) if max(f.values()) == 1 else -1 for f in (factorize(n, spf) for n in range(2, limit + 1))]
+    omega = squarefree_omega(limit)
+    assert omega.dtype == np.int8 and omega.tolist() == expected
+    assert squarefree_omega(0).tolist() == [-1] and squarefree_omega(1).tolist() == [-1, 0]
+    for small in range(1, 51):
+        assert squarefree_omega(small).tolist() == expected[: small + 1]
+    # 2 * 4999 > sqrt(9998): the prime factor above the sieved range is counted
+    assert squarefree_omega(9998)[9998] == 2 and squarefree_omega(4999)[4999] == 1
+    with pytest.raises(ValueError):
+        squarefree_omega(-1)
 
 
 def test_is_prime_miller_rabin_range():
