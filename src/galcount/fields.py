@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CensusFormatError
-from .sieves import _BLOCK, introot, is_prime, mobius, prime_array, squarefree_omega, squarefree_sieve
+from .sieves import _BLOCK, introot, is_prime, mobius, prime_array, squarefree_power, squarefree_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -75,40 +75,22 @@ def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
 
 def _conductor_arrays(ell: int, fmax: int) -> tuple[np.ndarray, np.ndarray]:
     """The admissible conductors 2 <= f <= fmax, ascending, and the number of
-    fields of each, as int64 arrays read from one table of h(f) = (ell-1)**t
-    (see ``cyclic_conductors``), with h(1) = 1 and h = 0 off the admissible f.
-
-    h is multiplicative, so the table is built one admissible prime power q at a
-    time: before q joins, h vanishes on every multiple of q, so
-    h[q*m] = (ell-1) * h[m] fills them all.  Each q <= sqrt(fmax) is one slice.
-    The q > sqrt(fmax) go in one scatter over the admissible m <= fmax // q: such
-    m < sqrt(fmax) < q, so h[m] is already final, and no target q*m has two
-    factors above sqrt(fmax), so no two q reach the same one.  h(f) < f, so
-    int64 is exact.
+    fields of each (see ``cyclic_conductors``), as int64 arrays read from one
+    ``squarefree_power`` table of h(f) = (ell-1)**t over the admissible q: the
+    primes = 1 (mod ell) and ell^2, all above ell - 1.
     """
     if ell % 2 == 0 or not is_prime(ell):
         raise ValueError(f"ell must be an odd prime, got {ell}")
     if fmax < 2 * ell + 1:  # no admissible q below 2*ell + 1; this also keeps a huge ell out of int64
         none = np.zeros(0, dtype=np.int64)
         return none, none
-    h = np.zeros(fmax + 1, dtype=np.int64)
-    h[1] = 1
-    primes = prime_array(fmax)
-    q = primes[primes % ell == 1]
+    q = prime_array(fmax)
+    q = q[q % ell == 1]
     if ell * ell <= fmax:
         q = np.sort(np.append(q, ell * ell))
-    split = np.searchsorted(q, math.isqrt(fmax), side="right")
-    for small in q[:split].tolist():
-        h[small::small] = (ell - 1) * h[1 : fmax // small + 1]
-    big = q[split:]
-    if big.size:
-        admissible = np.flatnonzero(h[: fmax // big[0] + 1])
-        per_q = np.searchsorted(admissible, fmax // big, side="right")
-        # for each q, the prefix of ``admissible`` up to fmax // q, laid end to end
-        m = admissible[np.arange(per_q.sum()) - np.repeat(np.cumsum(per_q) - per_q, per_q)]
-        h[np.repeat(big, per_q) * m] = (ell - 1) * h[m]
-    conductors = np.flatnonzero(h[2:]) + 2
-    return conductors, h[conductors] // (ell - 1)
+    h = squarefree_power(q, ell - 1, fmax)
+    conductors = np.flatnonzero(h)[1:]  # h[1] = 1 is not a conductor
+    return conductors, (h[conductors] // (ell - 1)).astype(np.int64)
 
 
 def cyclic_conductors(ell: int, fmax: int) -> dict[int, int]:
@@ -156,19 +138,19 @@ def biquadratic_discs(xmax: int) -> np.ndarray:
     s odd primes ramified in V and f depends on V's image in the 2-adic plane:
     f = 1 (image 0) for (3^s - 3) / 6 fields, none when s = 0; f = 16 (the line of
     chi_-4) for (3^s - 1) / 2; f = 64 (the line of chi_8 or of chi_-8) for 3^s - 1;
-    and f = 256 (the whole plane) for 3^s.  So one ``squarefree_omega`` sieve up to
-    sqrt(xmax) gives every odd squarefree m and its s, and each m <= sqrt(xmax / f)
-    contributes its fields.  No value exceeds xmax, and xmax above 2**63 - 1 raises
-    ValueError before anything is sieved.
+    and f = 256 (the whole plane) for 3^s.  So one ``squarefree_power`` table over
+    the odd primes with c = 3, up to sqrt(xmax), is 3^s at every odd squarefree m and
+    0 elsewhere, and each m <= sqrt(xmax / f) contributes its fields.  No value
+    exceeds xmax, and xmax above 2**63 - 1 raises ValueError before anything is sieved.
     """
     if xmax < 144:  # the smallest field is Q(sqrt(-3), i), |disc| = 3^2 * 16
         return np.zeros(0, dtype=np.int64)
     if xmax > 2**63 - 1:
         raise ValueError(f"biquadratic counts need |disc| <= 2**63 - 1, got {xmax}")
-    omega = squarefree_omega(math.isqrt(xmax))
-    m = np.arange(1, omega.size, 2)
-    m = m[omega[m] >= 0]  # the odd squarefree m, ascending
-    t = 3 ** omega[m].astype(np.int64)  # 3^s
+    r = math.isqrt(xmax)
+    h = squarefree_power(prime_array(r)[1:], 3, r)
+    m = np.flatnonzero(h)  # the odd squarefree m, ascending
+    t = h[m].astype(np.int64)  # 3^s
     found = []
     for f, fields in ((1, np.maximum(t - 3, 0) // 6), (16, (t - 1) // 2), (64, t - 1), (256, t)):
         end = np.searchsorted(m, math.isqrt(xmax // f), side="right")

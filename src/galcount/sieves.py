@@ -1,5 +1,6 @@
-"""Integer sieves: primes, the Möbius function, squarefree flags, k-powerful counting,
-divisor tables, and a Dirichlet partial-sum probe."""
+"""Integer sieves: primes, one multiplicative table over squarefree n (the Möbius
+function is one case of it), squarefree flags, k-powerful counting, divisor tables,
+and a Dirichlet partial-sum probe."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-_BLOCK = 1 << 16  # elements per array block: quadratic dot products, divisor ratios, census text
+# elements per array block: squarefree_power scatter batches, quadratic dot products,
+# divisor ratios, census text
+_BLOCK = 1 << 16
 
 
 def prime_array(limit: int) -> np.ndarray:
@@ -52,45 +55,47 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def squarefree_power(q: np.ndarray, c: int, limit: int) -> np.ndarray:
+    """h[n] = c**t for each n = 0..limit that is a product of t >= 0 distinct members of
+    q, and h[n] = 0 at every other n (so h[0] = 0 and h[1] = 1).
+
+    q is an ascending array of pairwise coprime integers >= 2 and |c| <= q[0], so
+    |h[n]| <= n: h is int8 when |c| <= 1, else the least signed dtype that holds limit.
+    The Möbius function is q = every prime, c = -1.
+
+    h is multiplicative, so the table is built one q at a time: before q joins, h
+    vanishes on every multiple of q (the earlier members are coprime to it), so
+    h[q*m] = c * h[m] fills them all.  Each q <= sqrt(limit) is one slice.  The
+    q > sqrt(limit) go in scatters over the m <= limit // q with h[m] != 0, each batch
+    whole q's, at least one, with about ``_BLOCK`` targets q*m in all.  Such m <
+    sqrt(limit) < q, so h[m] is already final and no target is ever read, and no target
+    has two members above sqrt(limit), so no two q reach the same one.
+    """
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    h = np.zeros(limit + 1, dtype=np.int8 if abs(c) <= 1 else np.min_scalar_type(-limit - 1))
+    h[1:2] = 1
+    split = np.searchsorted(q, math.isqrt(limit), side="right")
+    for small in q[:split].tolist():
+        h[small::small] = c * h[1 : limit // small + 1]
+    big = q[split:]
+    if big.size:
+        admissible = np.flatnonzero(h[: limit // big[0] + 1])
+        ends = np.cumsum(np.searchsorted(admissible, limit // big, side="right"))  # targets up to each q
+        start = done = 0
+        while start < big.size:
+            stop = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), start + 1)
+            owner, k = _expand(np.diff(ends[start:stop], prepend=done))
+            m = admissible[k - 1]
+            h[big[start:stop][owner] * m] = c * h[m]
+            start, done = stop, int(ends[stop - 1])
+    return h
+
+
 def mobius(limit: int) -> np.ndarray:
-    """mu[n] for n = 0..limit as an int8 array (mu[0] = 0).
-
-    Only primes p <= sqrt(limit) are sieved, each dividing out of rest[n] = n
-    once; a squarefree n left with rest[n] > 1 has one more prime factor, above
-    sqrt(limit), which flips the sign.
-    """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in prime_array(math.isqrt(limit)).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rest[p::p] //= p
-    mu[rest > 1] *= -1
-    return mu
-
-
-def squarefree_omega(limit: int) -> np.ndarray:
-    """omega[n] = number of prime factors of the squarefree n, for n = 0..limit, as an
-    int8 array, and -1 at every n that is not squarefree (and at n = 0).
-
-    As in ``mobius``, only primes p <= sqrt(limit) are sieved, each dividing out of
-    rest[n] once, and a multiple of p^2 has its rest set to 0; a squarefree n left with
-    rest[n] > 1 has one more prime factor, above sqrt(limit).
-    """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
-    for p in prime_array(math.isqrt(limit)).tolist():
-        omega[p::p] += 1
-        rest[p::p] //= p
-        rest[p * p :: p * p] = 0
-    omega += rest > 1
-    omega[rest == 0] = -1
-    return omega
+    """mu[n] for n = 0..limit as an int8 array (mu[0] = 0): ``squarefree_power`` over
+    every prime with c = -1."""
+    return squarefree_power(prime_array(limit), -1, limit)
 
 
 def squarefree_sieve(limit: int) -> np.ndarray:

@@ -378,11 +378,11 @@ def test_allocation_failure_exit_2(capsys, monkeypatch):
 
 
 def test_count_biquadratic_beyond_int64_exit_2(capsys, monkeypatch):
-    # refused before the omega sieve to sqrt(1e19), about 16 GB with its remainders, is allocated
+    # refused before the primes to sqrt(1e19) are sieved: 3.2 GB of flags, then a 25 GB int64 table of 3^omega
     def refuse(limit):
         raise AssertionError("sieve started")
 
-    monkeypatch.setattr(fields, "squarefree_omega", refuse)
+    monkeypatch.setattr(fields, "prime_array", refuse)
     code, out, err = run_cli(capsys, "count", "biquadratic", "--grid", "1000:1e19:3")
     assert (code, out) == (2, "")
     assert err == "error: biquadratic counts need |disc| <= 2**63 - 1, got 10000000000000000000\n"

@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from galcount.fields import (
     quadratic_samples,
     tally_samples,
 )
-from galcount.sieves import introot, powerful_numbers, prime_array
+from galcount.sieves import introot, mobius, powerful_numbers, prime_array
 
 from oracles import (
     biquadratic_discs_slow,
@@ -139,6 +140,25 @@ def test_cyclic_conductor_shape():
     for ell in (3, 5, 7):
         powers = {(ell - 1) ** t for t in range(12)}  # (ell-1)**t < f <= 3000
         assert set(cyclic_conductors(ell, 3000).values()) <= powers
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [
+        # 10 MB of int8 plus the primes; a uint32 remainder beside it would add 40 MB
+        (lambda: mobius(10**7), 40_000_000),
+        # 40 MB of int32 conductor table over f <= 10**7; an int64 one is 80 MB alone
+        (lambda: cyclic_tally(3, 10**14), 80_000_000),
+    ],
+)
+def test_multiplicative_tables_hold_one_narrow_array(build, bound):
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_count_cyclic_ell():

@@ -16,7 +16,7 @@ from galcount.sieves import (
     powerful_count,
     powerful_numbers,
     prime_array,
-    squarefree_omega,
+    squarefree_power,
     squarefree_sieve,
 )
 
@@ -71,19 +71,27 @@ def test_mobius_against_factorization():
     assert mobius(4999)[4999] == -1
 
 
-def test_squarefree_omega_against_factorization():
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_squarefree_power_against_factorization(monkeypatch, block):
+    # small batches split the scatter over the q > sqrt(limit) into many
+    monkeypatch.setattr(sieves, "_BLOCK", block)
     limit = 10_000
     spf = spf_table(limit)
-    expected = [-1, 0] + [len(f) if max(f.values()) == 1 else -1 for f in (factorize(n, spf) for n in range(2, limit + 1))]
-    omega = squarefree_omega(limit)
-    assert omega.dtype == np.int8 and omega.tolist() == expected
-    assert squarefree_omega(0).tolist() == [-1] and squarefree_omega(1).tolist() == [-1, 0]
-    for small in range(1, 51):
-        assert squarefree_omega(small).tolist() == expected[: small + 1]
-    # 2 * 4999 > sqrt(9998): the prime factor above the sieved range is counted
-    assert squarefree_omega(9998)[9998] == 2 and squarefree_omega(4999)[4999] == 1
+    parts = [[]] * 2 + [[p**e for p, e in factorize(n, spf).items()] for n in range(2, limit + 1)]
+    primes = prime_array(limit)
+    cases = [(primes, -1), (primes[1:], 3)]  # mu, and 3^omega at the odd squarefree n
+    for ell in (3, 5):  # the admissible conductor factors, ell^2 among them
+        cases.append((np.sort(np.append(primes[primes % ell == 1], ell * ell)), ell - 1))
+    for q, c in cases:
+        members = set(q.tolist())  # prime powers, so n is a product of members when each of its parts is one
+        expected = [0] + [c ** len(f) if members.issuperset(f) else 0 for f in parts[1:]]
+        for small in list(range(51)) + [4999, 9998, limit]:
+            # the large limits keep the members above them, which reach no n
+            h = squarefree_power(q if small > 50 else q[q <= small], c, small)
+            dtype = np.int8 if abs(c) <= 1 else next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= small)
+            assert h.dtype == dtype and h.tolist() == expected[: small + 1], (c, small)
     with pytest.raises(ValueError):
-        squarefree_omega(-1)
+        squarefree_power(primes, -1, -1)
 
 
 def test_is_prime_miller_rabin_range():
