@@ -8,13 +8,18 @@ paired representation.
 
 Each command imports the layers it runs when it runs, so a child process that
 counts fields never loads the group layers, and one that computes a(G) never
-loads the field counts or the fit.
+loads the field counts or the fit.  numpy loads only with the layers that build
+arrays: ``fit --samples`` and a group expression refused as it is parsed never
+import it.  ``run``, the console entry point, freezes the garbage collector once
+``main`` has returned, so the interpreter's shutdown skips the collections over
+every object still alive; ``main`` called in process leaves the collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -344,7 +349,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # everything alive now, numpy's objects among them, is left out of the collections at shutdown
+        gc.freeze()
 
 
 if __name__ == "__main__":

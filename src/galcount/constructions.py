@@ -118,7 +118,8 @@ def wreath(a: PermGroup, h: PermGroup) -> PermGroup:
     if expected > cap:
         raise EnumerationCapError(f"wreath product order {expected} exceeds cap {cap}")
     grid = np.arange(a.degree * h.degree).reshape(h.degree, a.degree)  # row b is block b
-    roots = np.unique(component_minima(np.array([g.images for g in h.generators])))  # least block of each h-orbit
+    minima = component_minima(np.array([g.images for g in h.generators]))
+    roots = np.flatnonzero(minima == np.arange(h.degree))  # least block of each h-orbit; np.unique loads numpy.ma
     images = [
         np.where(np.arange(h.degree)[:, None] == root, grid[:, g.images], grid).ravel()
         for root in roots

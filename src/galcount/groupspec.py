@@ -9,24 +9,37 @@ Expression grammar (whitespace-insensitive):
 Group files: a ``degree=N`` line followed by ``gen=<cycles>`` lines; ``#``
 starts a comment.  A paired-representation file holds two such blocks
 separated by a ``---`` line, with the i-th generators aligned.
+
+An expression is parsed whole before any group is built, and the group layers
+(and numpy with them) are imported when the first group is built: an
+expression refused by the parser exits without loading them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from . import constructions
-from .constructions import DualRep
 from .errors import DEFAULT_CAP, GroupSpecError, read_text
-from .groups import PermGroup
 from .perms import parse_cycles
+
+if TYPE_CHECKING:
+    from .constructions import DualRep
+    from .groups import PermGroup
+
+
+def _call(name: str, *args) -> PermGroup:
+    """``constructions.<name>(*args)``, the function looked up at the call."""
+    from . import constructions
+
+    return getattr(constructions, name)(*args)
 
 
 _FAMILIES = {
-    "C": constructions.cyclic_natural,
-    "A": constructions.alternating_natural,
-    "S": constructions.symmetric_natural,
+    "C": partial(_call, "cyclic_natural"),
+    "A": partial(_call, "alternating_natural"),
+    "S": partial(_call, "symmetric_natural"),
 }
 
 
@@ -35,7 +48,7 @@ def _cosets(group: PermGroup, gens: str, cap: int) -> PermGroup:
     parts = [part for part in gens.split(";") if part.strip()]
     if not parts:
         raise ValueError("empty generator list")
-    return constructions.coset_action(group, [parse_cycles(part, group.degree) for part in parts])
+    return _call("coset_action", group, [parse_cycles(part, group.degree) for part in parts])
 
 
 # Each form maps its name to its shape and its builder, which is called with the values the
@@ -45,24 +58,44 @@ _KINDS = {"int": "an integer", "str": "a quoted string", "family": "C, A or S", 
 _FORMS: dict[str, tuple[tuple[str, ...], Callable[..., PermGroup]]] = {
     **{letter: (("int",), build) for letter, build in _FAMILIES.items()},  # "C 4" means "natural(C 4)"
     "natural": (("(", "family", "int", ")"), lambda build, n, cap: build(n, cap)),
-    "dihedral": (("(", "int", ")"), constructions.dihedral_natural),
-    "regular": (("(", "expr", ")"), lambda group, cap: constructions.regular_rep(group)),
-    "wreath": (("(", "expr", ",", "expr", ")"), lambda a, h, cap: constructions.wreath(a, h)),
-    "product": (("(", "expr", ",", "expr", ")"), lambda h, z, cap: constructions.direct_product(h, z)),
+    "dihedral": (("(", "int", ")"), partial(_call, "dihedral_natural")),
+    "regular": (("(", "expr", ")"), lambda group, cap: _call("regular_rep", group)),
+    "wreath": (("(", "expr", ",", "expr", ")"), lambda a, h, cap: _call("wreath", a, h)),
+    "product": (("(", "expr", ",", "expr", ")"), lambda h, z, cap: _call("direct_product", h, z)),
     "cosets": (("(", "expr", ",", "str", ")"), _cosets),
-    "sl": (("2", "(", "int", ")"), constructions.sl2_natural),  # the digit is part of the name
-    "heis": (("3", "(", ")"), constructions.heisenberg_mod3),
+    "sl": (("2", "(", "int", ")"), partial(_call, "sl2_natural")),  # the digit is part of the name
+    "heis": (("3", "(", ")"), partial(_call, "heisenberg_mod3")),
     "file": (("(", "path", ")"), lambda path, cap: load_group_file(path, cap)),
 }
 _TOKEN = re.compile(r'\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+)|(?P<str>"(?:[^"\\]|\\.)*")|(?P<punct>\S))')
 _PATH = re.compile(r"[^()]*")  # file(PATH) takes the text up to the next parenthesis
 
 
+class _Form(NamedTuple):
+    """One parsed form: its builder, the values its shape read (nested forms among them), and its column."""
+
+    build: Callable[..., PermGroup]
+    args: list
+    column: int
+
+    def group(self, cap: int) -> PermGroup:
+        """Build the nested forms' groups, then this form's; one frame for each level of nesting."""
+        args = []
+        for arg in self.args:
+            args.append(arg.group(cap) if isinstance(arg, _Form) else arg)
+        try:
+            return self.build(*args, cap)
+        except GroupSpecError:
+            raise
+        except ValueError as exc:
+            raise GroupSpecError(f"column {self.column}: {exc}") from None
+
+
 class _Reader:
     """Reads one group expression from ``text``, a token at a time from the character offset ``pos``."""
 
-    def __init__(self, text: str, cap: int):
-        self.text, self.pos, self.cap = text, 0, cap
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
 
     def token(self) -> tuple[Optional[str], str, int]:
         """The next token's kind (None at the end), its text and its 1-based column; reads past it."""
@@ -87,8 +120,8 @@ class _Reader:
             raise GroupSpecError(f"expected {_KINDS[kind]} at column {column}")
         return int(text) if kind == "int" else text[1:-1]
 
-    def expr(self) -> PermGroup:
-        """Read one form and build its group; the nested expressions of its shape recurse here, one frame each."""
+    def expr(self) -> _Form:
+        """Read one form; the nested expressions of its shape recurse here, one frame each."""
         found, name, column = self.token()
         if found != "name":
             raise GroupSpecError(f"expected a construction name at column {column}")
@@ -105,12 +138,7 @@ class _Reader:
                 _, text, at = self.token()
                 if text != want:
                     raise GroupSpecError(f"expected {want!r} at column {at}")
-        try:
-            return build(*args, self.cap)
-        except GroupSpecError:
-            raise
-        except ValueError as exc:
-            raise GroupSpecError(f"column {column}: {exc}") from None
+        return _Form(build, args, column)
 
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -121,15 +149,15 @@ def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
     """Parse a group expression; file(PATH) loads a group file."""
     if not text.strip():
         raise GroupSpecError("empty group expression")
-    reader = _Reader(text, cap)
+    reader = _Reader(text)
     try:
-        group = reader.expr()
+        form = reader.expr()
+        found, rest, column = reader.token()
+        if found is not None:
+            raise GroupSpecError(f"trailing input after expression: {rest!r} at column {column}")
+        return form.group(cap)
     except RecursionError:
         raise GroupSpecError("expression nested too deeply") from None
-    found, rest, column = reader.token()
-    if found is not None:
-        raise GroupSpecError(f"trailing input after expression: {rest!r} at column {column}")
-    return group
 
 
 def _parse_block(lines: list[tuple[int, str]], cap: int = DEFAULT_CAP) -> PermGroup:
@@ -154,6 +182,8 @@ def _parse_block(lines: list[tuple[int, str]], cap: int = DEFAULT_CAP) -> PermGr
             raise GroupSpecError(f"line {number}: expected degree= or gen=")
     if degree is None or not gens:
         raise GroupSpecError("group block needs a degree= line and at least one gen= line")
+    from .groups import PermGroup
+
     return PermGroup(degree, gens, cap)
 
 
@@ -181,4 +211,6 @@ def parse_paired_file(text: str) -> DualRep:
         raise GroupSpecError("paired file must contain exactly one --- separator")
     first = _parse_block(lines[: split_at[0]])
     second = _parse_block(lines[split_at[0] + 1 :])
+    from .constructions import DualRep
+
     return DualRep(tuple(first.generators), tuple(second.generators))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -103,11 +104,16 @@ def test_import_loads_no_numpy_and_a_submodule_attribute_loads_it():
     assert out == "False\nTrue\n"
 
 
+def test_fitting_and_groupspec_import_no_numpy():
+    out = _child("import galcount.fitting, galcount.groupspec, sys; print('numpy' in sys.modules)")
+    assert out == "False\n"
+
+
 def _cli_child(*argv, report="sorted(m for m in sys.modules if m.startswith('galcount'))"):
     """Run ``python -m galcount.cli ARGV`` in a child as ``-m`` runs it; return its exit code,
-    its output before the report, and ``report`` evaluated as the child exits."""
+    its output before the report, its stderr, and ``report`` evaluated as the child exits."""
     code = (
-        "import atexit, json, os, runpy, sys; "
+        "import atexit, gc, json, os, runpy, sys; "
         f"atexit.register(lambda: print(json.dumps({report}))); "
         f"sys.argv = ['galcount', *{list(argv)!r}]; "
         "runpy.run_module('galcount.cli', run_name='__main__', alter_sys=True)"
@@ -115,7 +121,7 @@ def _cli_child(*argv, report="sorted(m for m in sys.modules if m.startswith('gal
     child_env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=60)
     *out, last = done.stdout.splitlines()
-    return done.returncode, out, json.loads(last)
+    return done.returncode, out, done.stderr, json.loads(last)
 
 
 def test_cli_table_names_are_the_tables():
@@ -126,29 +132,64 @@ def test_cli_table_names_are_the_tables():
 
 def test_cli_child_sets_one_openblas_thread_before_numpy_loads():
     threads = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1"
-    code, out, report = _cli_child("aval", "S 3", report=f"[os.environ.get('OPENBLAS_NUM_THREADS'), {threads}]")
+    code, out, _, report = _cli_child("aval", "S 3", report=f"[os.environ.get('OPENBLAS_NUM_THREADS'), {threads}]")
     assert (code, out[:3]) == (0, ["degree: 3", "order: 6", "a(G): 1"])
     assert report == ["1", 1]
 
 
+def test_cli_child_freezes_the_collector_and_main_in_process_does_not(capsys):
+    import gc
+
+    from galcount.cli import main
+
+    code, out, _, frozen = _cli_child("aval", "S 3", report="gc.get_freeze_count() > 0")
+    assert (code, out[0], frozen) == (0, "degree: 3", True)
+    before = gc.get_freeze_count()
+    assert main(["aval", "S 3"]) == 0
+    assert gc.get_freeze_count() == before
+
+
 GROUP_LAYERS = ["galcount.constructions", "galcount.groups", "galcount.groupspec", "galcount.perms"]
 BASE = ["galcount", "galcount.errors"]
+PARSER = BASE + ["galcount.groupspec", "galcount.perms"]
+
+
+class Loads(NamedTuple):
+    """What a CLI child loads, and how it exits."""
+
+    modules: list
+    numpy: bool
+    code: int = 0
+    message: str = ""
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["aval", "S 3"], BASE + GROUP_LAYERS),
-        (["aval", "sl2(5)"], BASE + GROUP_LAYERS + ["galcount.sieves"]),
-        (["table", "deg6"], BASE + GROUP_LAYERS + ["galcount.tables"]),
-        (["compare-reps", "--example", "7.4"], BASE + GROUP_LAYERS),
-        (["count", "quadratic"], BASE + ["galcount.fields", "galcount.fitting", "galcount.sieves"]),
-        (["fit", "--samples", "SAMPLES"], BASE + ["galcount.fitting"]),
+        (["aval", "S 3"], Loads(BASE + GROUP_LAYERS, numpy=True)),
+        (["aval", "sl2(5)"], Loads(BASE + GROUP_LAYERS + ["galcount.sieves"], numpy=True)),
+        (["table", "deg6"], Loads(BASE + GROUP_LAYERS + ["galcount.tables"], numpy=True)),
+        (["compare-reps", "--example", "7.4"], Loads(BASE + GROUP_LAYERS, numpy=True)),
+        (["count", "quadratic"], Loads(BASE + ["galcount.fields", "galcount.fitting", "galcount.sieves"], numpy=True)),
+        (["fit", "--samples", "SAMPLES"], Loads(BASE + ["galcount.fitting"], numpy=False)),
+        (["aval", "wreath(C 2, A 4)"], Loads(BASE + GROUP_LAYERS, numpy=True)),
+        (
+            ["fit", "--samples", "TWO"],
+            Loads(BASE + ["galcount.fitting"], False, 6, "error: need at least 3 usable samples with distinct x, have 2\n"),
+        ),
+        (["aval", "bogus(3)"], Loads(PARSER, False, 2, "error: unknown construction 'bogus'\n")),
+        (["aval", "wreath(C 3, A 2"], Loads(PARSER, False, 2, "error: expected ')' at column 16\n")),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
-    samples = tmp_path / "samples.csv"
-    samples.write_text("x,count\n10,5\n100,30\n1000,170\n10000,1100\n", encoding="utf-8")
-    code, out, modules = _cli_child(*(str(samples) if arg == "SAMPLES" else arg for arg in argv))
-    assert code == 0 and out
-    assert modules == sorted(loaded)
+    # numpy loads only with a layer that builds arrays, and no command loads numpy.ma
+    files = {"SAMPLES": "x,count\n10,5\n100,30\n1000,170\n10000,1100\n", "TWO": "x,count\n10,5\n100,30\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    report = "[sorted(m for m in sys.modules if m.startswith('galcount')), 'numpy' in sys.modules, 'numpy.ma' in sys.modules]"
+    code, out, err, (modules, numpy, numpy_ma) = _cli_child(*argv, report=report)
+    assert (code, err) == (loaded.code, loaded.message)
+    assert bool(out) == (code == 0)
+    assert modules == sorted(loaded.modules)
+    assert (numpy, numpy_ma) == (loaded.numpy, False)
