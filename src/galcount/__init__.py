@@ -16,9 +16,9 @@ so a CLI command loads only the layers it runs.
 import importlib as _importlib
 import os as _os
 
-# Importing numpy starts OpenBLAS's worker pool, which costs each process about
-# 60 ms of CPU and serves nothing: galcount calls no BLAS routine (the fit runs
-# on plain floats).  Set here, before any submodule imports numpy.
+# OpenBLAS's worker pool costs each process about 60 ms of CPU and only serves
+# the <=3-column fit; one thread keeps its floats independent of the core count.
+# Set here, before any submodule imports numpy.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

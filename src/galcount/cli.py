@@ -8,11 +8,12 @@ paired representation.
 
 Each command imports the layers it runs when it runs, so a child process that
 counts fields never loads the group layers, and one that computes a(G) never
-loads the field counts or the fit.  numpy loads only with the layers that build
-arrays: ``fit --samples`` and a group expression refused as it is parsed never
-import it.  ``run``, the console entry point, freezes the garbage collector once
-``main`` has returned, so the interpreter's shutdown skips the collections over
-every object still alive; ``main`` called in process leaves the collector as it is.
+loads the field counts or the fit.  numpy loads only where an array is built:
+a ``fit --samples`` refused for too few distinct x, and a group expression
+refused before its first group is built, never import it.  ``run``, the
+console entry point, freezes the garbage collector once ``main`` has returned,
+so the interpreter's shutdown skips the collections over every object still
+alive; ``main`` called in process leaves the collector as it is.
 """
 
 from __future__ import annotations

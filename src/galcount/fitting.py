@@ -1,24 +1,23 @@
 """Log-log least squares: recover the exponent of Z(x) ~ c * x^a * (log x)^b and
 compare it with the group-theoretic prediction.
 
-The design has 2 or 3 columns, so the fit works on lists of floats with ``math``
-and imports no numpy: a ``fit --samples`` child never loads it.
+numpy is imported by the solve, not by this module: a fit refused for too few
+distinct x, as ``fit --samples`` on a short file is, never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import InsufficientSamplesError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .groups import PermGroup
 
 LogPower = Union[float, int, str]  # a number, or "fit"
@@ -69,86 +68,37 @@ def geometric_grid(x_min: int, x_max: int, points: int) -> list[int]:
     return out
 
 
-def _eigenvalues(matrix: list[list[float]]) -> list[float]:
-    """The eigenvalues of a small symmetric matrix, by cyclic Jacobi rotations.
-
-    Each is accurate to a few eps times the largest, as numpy's SVD gives them; the smallest of a
-    near-singular gram is not found this accurately from its characteristic polynomial.
-    """
-    a = [row[:] for row in matrix]
-    k = len(a)
-    for _ in range(10):  # convergence is quadratic: a fit's gram is diagonal to eps^2 after at most 4 sweeps
-        for p, q in combinations(range(k), 2):
-            apq = a[p][q]
-            if apq == 0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2 * apq)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-            c = 1 / math.hypot(t, 1.0)
-            s = t * c
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            for r in set(range(k)) - {p, q}:
-                arp, arq = a[r][p], a[r][q]
-                a[r][p] = a[p][r] = c * arp - s * arq
-                a[r][q] = a[q][r] = s * arp + c * arq
-    return [a[i][i] for i in range(k)]
-
-
-def _solve(matrix: list[list[float]], rhs: list[list[float]]) -> list[list[float]]:
-    """matrix^-1 rhs, for rhs given as rows: one elimination with partial pivoting, then back substitution."""
-    k = len(matrix)
-    m, r = [row[:] for row in matrix], [row[:] for row in rhs]
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda i: abs(m[i][col]))
-        m[col], m[pivot], r[col], r[pivot] = m[pivot], m[col], r[pivot], r[col]
-        for i in range(col + 1, k):
-            factor = m[i][col] / m[col][col]
-            m[i] = [u - factor * v for u, v in zip(m[i], m[col])]
-            r[i] = [u - factor * v for u, v in zip(r[i], r[col])]
-    for i in reversed(range(k)):
-        for j in range(i + 1, k):
-            r[i] = [u - m[i][j] * v for u, v in zip(r[i], r[j])]
-        r[i] = [u / m[i][i] for u in r[i]]
-    return r
-
-
-def _fit_core(xs: Sequence[float], zs: Sequence[float], log_power: LogPower) -> tuple[float, float, float, float, list[float]]:
+def _fit_core(xs: Sequence[float], zs: Sequence[float], log_power: LogPower) -> tuple[float, float, float, float, np.ndarray]:
     """One least-squares solve: a_hat, c_hat, b, the rms residual, and each sample's leave-one-out shift of a_hat.
 
     Dropping sample i moves the coefficients by (X^T X)^-1 x_i e_i / (1 - h_ii), with e_i its residual and
-    h_ii its leverage (the DFBETA identity), so no refit is needed.  One elimination on X^T X, with X^T y
-    as an extra column, gives both (X^T X)^-1 X^T and the coefficients.
+    h_ii its leverage (the DFBETA identity), so no refit is needed.
     """
-    logx, target = [math.log(x) for x in xs], [math.log(z) for z in zs]
-    columns = [[1.0] * len(logx), logx]
+    import numpy as np
+
+    logx, target = np.log(xs), np.log(zs)
+    columns = [np.ones_like(logx), logx]
     if log_power == "fit":
-        columns.append([math.log(v) for v in logx])
+        columns.append(np.log(logx))
     elif float(log_power) != 0.0:
-        target = [t - float(log_power) * math.log(v) for t, v in zip(target, logx)]
-    k = len(columns)
-    gram = [[math.fsum(map(mul, p, q)) for q in columns] for p in columns]
-    # numpy's matrix_rank test: a singular value of the gram at most k * eps times the largest
-    singular = [abs(v) for v in _eigenvalues(gram)]
-    tolerance = max(singular) * k * sys.float_info.epsilon
-    if not all(v > tolerance for v in singular):  # also refuses nan
+        target = target - float(log_power) * np.log(logx)
+    design = np.column_stack(columns)
+    gram = design.T @ design
+    if np.linalg.matrix_rank(gram) < design.shape[1]:
         raise ValueError("collinear design: samples cannot separate the fit parameters")
-    *spread, coeffs = zip(*_solve(gram, [[*col, math.fsum(map(mul, col, target))] for col in columns]))
-    rows = list(zip(*columns))
-    residuals = [t - sum(map(mul, coeffs, row)) for t, row in zip(target, rows)]
-    # h_ii = 1 only where a removal leaves too few distinct x; there the shift is inf, or nan for 0/0
-    shifts = []
-    for row, column, e in zip(rows, spread, residuals):
-        leftover = 1 - sum(map(mul, row, column))
-        shifts.append(abs(column[1] * e / leftover) if leftover else abs(column[1] * e) * math.inf)
+    coeffs = np.linalg.solve(gram, design.T @ target)
+    residuals = target - design @ coeffs
+    spread = np.linalg.solve(gram, design.T)  # column i is (X^T X)^-1 x_i
+    leverages = np.einsum("ij,ji->i", design, spread)
+    with np.errstate(divide="ignore", invalid="ignore"):  # h_ii = 1 only where a removal leaves too few distinct x
+        shifts = np.abs(spread[1] * residuals / (1 - leverages))
     b = coeffs[2] if log_power == "fit" else float(log_power)
-    rms = math.sqrt(math.fsum(e * e for e in residuals) / len(residuals))
+    rms = float(np.sqrt(np.mean(residuals**2)))
     try:
         c_hat = math.exp(coeffs[0])
     except OverflowError:  # an intercept above about 709, as a fitted log power can give
         c_hat = math.inf
-    return coeffs[1], c_hat, float(b), rms, shifts
+    return float(coeffs[1]), float(c_hat), float(b), rms, shifts
 
 
 def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0.0) -> FitResult:
@@ -186,7 +136,7 @@ def fit_exponent(samples: Sequence[tuple[float, float]], log_power: LogPower = 0
         sample_count=len(usable),
         dropped=dropped,
         b_fitted=log_power == "fit",
-        loo_max_shift=max((s for s, left in zip(shifts, remaining) if left >= 3), default=math.nan),
+        loo_max_shift=float(max((s for s, left in zip(shifts, remaining) if left >= 3), default=math.nan)),
     )
 
 

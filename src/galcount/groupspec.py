@@ -10,16 +10,16 @@ Group files: a ``degree=N`` line followed by ``gen=<cycles>`` lines; ``#``
 starts a comment.  A paired-representation file holds two such blocks
 separated by a ``---`` line, with the i-th generators aligned.
 
-An expression is parsed whole before any group is built, and the group layers
-(and numpy with them) are imported when the first group is built: an
-expression refused by the parser exits without loading them.
+The group layers (and numpy with them) are imported when the first group is
+built: an expression refused before any of its forms is complete, such as an
+unknown construction name, exits without loading them.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import DEFAULT_CAP, GroupSpecError, read_text
 from .perms import parse_cycles
@@ -71,31 +71,11 @@ _TOKEN = re.compile(r'\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]+)|(?P<str>"(?:[^"\\]
 _PATH = re.compile(r"[^()]*")  # file(PATH) takes the text up to the next parenthesis
 
 
-class _Form(NamedTuple):
-    """One parsed form: its builder, the values its shape read (nested forms among them), and its column."""
-
-    build: Callable[..., PermGroup]
-    args: list
-    column: int
-
-    def group(self, cap: int) -> PermGroup:
-        """Build the nested forms' groups, then this form's; one frame for each level of nesting."""
-        args = []
-        for arg in self.args:
-            args.append(arg.group(cap) if isinstance(arg, _Form) else arg)
-        try:
-            return self.build(*args, cap)
-        except GroupSpecError:
-            raise
-        except ValueError as exc:
-            raise GroupSpecError(f"column {self.column}: {exc}") from None
-
-
 class _Reader:
     """Reads one group expression from ``text``, a token at a time from the character offset ``pos``."""
 
-    def __init__(self, text: str):
-        self.text, self.pos = text, 0
+    def __init__(self, text: str, cap: int):
+        self.text, self.pos, self.cap = text, 0, cap
 
     def token(self) -> tuple[Optional[str], str, int]:
         """The next token's kind (None at the end), its text and its 1-based column; reads past it."""
@@ -120,8 +100,8 @@ class _Reader:
             raise GroupSpecError(f"expected {_KINDS[kind]} at column {column}")
         return int(text) if kind == "int" else text[1:-1]
 
-    def expr(self) -> _Form:
-        """Read one form; the nested expressions of its shape recurse here, one frame each."""
+    def expr(self) -> PermGroup:
+        """Read one form and build its group; the nested expressions of its shape recurse here, one frame each."""
         found, name, column = self.token()
         if found != "name":
             raise GroupSpecError(f"expected a construction name at column {column}")
@@ -138,7 +118,12 @@ class _Reader:
                 _, text, at = self.token()
                 if text != want:
                     raise GroupSpecError(f"expected {want!r} at column {at}")
-        return _Form(build, args, column)
+        try:
+            return build(*args, self.cap)
+        except GroupSpecError:
+            raise
+        except ValueError as exc:
+            raise GroupSpecError(f"column {column}: {exc}") from None
 
 
 def load_group_file(path: str, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -149,15 +134,15 @@ def parse_group_expr(text: str, cap: int = DEFAULT_CAP) -> PermGroup:
     """Parse a group expression; file(PATH) loads a group file."""
     if not text.strip():
         raise GroupSpecError("empty group expression")
-    reader = _Reader(text)
+    reader = _Reader(text, cap)
     try:
-        form = reader.expr()
-        found, rest, column = reader.token()
-        if found is not None:
-            raise GroupSpecError(f"trailing input after expression: {rest!r} at column {column}")
-        return form.group(cap)
+        group = reader.expr()
     except RecursionError:
         raise GroupSpecError("expression nested too deeply") from None
+    found, rest, column = reader.token()
+    if found is not None:
+        raise GroupSpecError(f"trailing input after expression: {rest!r} at column {column}")
+    return group
 
 
 def _parse_block(lines: list[tuple[int, str]], cap: int = DEFAULT_CAP) -> PermGroup:

@@ -17,9 +17,8 @@ pass over the closed triples of fundamental discriminants per smallest member,
 instead of counting the fields of each ramified prime set, divisor counts from
 one slice update per d <= limit instead of divisor pairs, census tallies
 from one record object per line merged through a dict instead of sorted runs,
-leave-one-out exponent shifts from one ``np.linalg.lstsq`` refit per
-sample instead of the fit's leverages, and the fit itself from numpy's SVD rank
-test and LAPACK solves instead of Jacobi rotations and one elimination over lists.
+and leave-one-out exponent shifts from one ``np.linalg.lstsq`` refit per
+sample instead of the fit's leverages.
 """
 
 from __future__ import annotations
@@ -452,34 +451,7 @@ def divisor_counts_slow(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the fit in numpy, and leave-one-out exponent shifts, one refit per sample
-
-
-def fit_core_numpy(xs: Sequence[float], zs: Sequence[float], log_power) -> tuple[float, float, float, float, np.ndarray]:
-    """``fitting._fit_core`` as numpy arrays: the gram's rank from its SVD, and two ``np.linalg.solve`` calls."""
-    logx, target = np.log(xs), np.log(zs)
-    columns = [np.ones_like(logx), logx]
-    if log_power == "fit":
-        columns.append(np.log(logx))
-    elif float(log_power) != 0.0:
-        target = target - float(log_power) * np.log(logx)
-    design = np.column_stack(columns)
-    gram = design.T @ design
-    if np.linalg.matrix_rank(gram) < design.shape[1]:
-        raise ValueError("collinear design: samples cannot separate the fit parameters")
-    coeffs = np.linalg.solve(gram, design.T @ target)
-    residuals = target - design @ coeffs
-    spread = np.linalg.solve(gram, design.T)  # column i is (X^T X)^-1 x_i
-    leverages = np.einsum("ij,ji->i", design, spread)
-    with np.errstate(divide="ignore", invalid="ignore"):  # h_ii = 1 only where a removal leaves too few distinct x
-        shifts = np.abs(spread[1] * residuals / (1 - leverages))
-    b = coeffs[2] if log_power == "fit" else float(log_power)
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    try:
-        c_hat = math.exp(coeffs[0])
-    except OverflowError:
-        c_hat = math.inf
-    return float(coeffs[1]), float(c_hat), float(b), rms, shifts
+# leave-one-out exponent shifts, one refit per sample
 
 
 def loo_max_shift_slow(samples: Sequence[tuple[float, float]], log_power) -> float:

@@ -100,6 +100,11 @@ def test_construction_errors_name_the_form_column():
             parse_group_expr(text)
     with pytest.raises(EnumerationCapError):  # a refusal over the cap is not a parse error
         parse_group_expr("regular(sl2(101))")
+    # each form is built as soon as it is read, so its build error comes before a later syntax error
+    with pytest.raises(EnumerationCapError):
+        parse_group_expr("product(regular(sl2(101)), C 2")
+    with pytest.raises(GroupSpecError, match="^column 14: 4 is not prime$"):
+        parse_group_expr("product(C 2, sl2(4) $")
 
 
 def test_group_file(tmp_path):
