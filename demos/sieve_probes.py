@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
 """The integer-sieve layer: squarefree flags, k-powerful counting at scale,
-the divisor growth bound, and a Dirichlet partial-sum convergence probe."""
+and the divisor growth bound."""
 
 import math
 
-import numpy as np
-
 from galcount import (
-    dirichlet_tail_probe,
     divisor_bound_check,
     powerful_count,
     powerful_numbers,
@@ -35,14 +32,3 @@ print("Divisor-count growth: max t(n)/n^eps vs the bound exp(2^(1/eps)/(eps ln 2
 for eps in (1.0, 0.5, 0.25):
     report = divisor_bound_check(10**6, eps)
     print(f"  eps = {eps:5}: max ratio {report.max_ratio:12.4f}  bound {report.bound:.4g}  holds = {report.holds}")
-
-print()
-print("Dirichlet tail probe: partial sums of sum chi(n)/n^s for chi the 2-powerful")
-print("indicator (partial sums of chi grow like sqrt(x), so s > 1/2 should converge):")
-coeffs = np.zeros(10**6)
-coeffs[np.array(powerful_numbers(2, 10**6)) - 1] = 1.0
-report = dirichlet_tail_probe(coeffs, r=0.5, s=0.6, grid=[10**k for k in range(1, 7)])
-for cutoff, value in zip(report.cutoffs, report.partial_sums):
-    print(f"  x = {cutoff:8}: partial sum = {value:.6f}")
-print(f"  max successive increment {report.max_increment:.4f}; observed growth constant "
-      f"{report.coefficient_bound:.3f}")

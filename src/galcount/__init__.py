@@ -71,8 +71,6 @@ _SOURCES = {
     "perms": ("Perm", "parse_cycles"),
     "sieves": (
         "DivisorBoundReport",
-        "TailProbeReport",
-        "dirichlet_tail_probe",
         "divisor_bound_check",
         "divisor_counts",
         "powerful_count",

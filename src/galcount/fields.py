@@ -8,7 +8,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -127,8 +127,10 @@ def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
 # biquadratic fields
 
 
-def biquadratic_discs(xmax: int) -> np.ndarray:
-    """|disc| values of the biquadratic fields with |disc| <= xmax, as a sorted int64 array.
+def _biquadratic_classes(xmax: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(f, m, fields) for each 2-adic class f = 1, 16, 64, 256 of the biquadratic
+    fields with |disc| = m^2 * f <= xmax: the odd squarefree m <= sqrt(xmax / f),
+    ascending, and the int64 number of fields at each.
 
     Counted from ramified prime sets (D. J. Wright, Proc. London Math. Soc. 58
     (1989)), not field by field.  A biquadratic field is a 2-dimensional space V of
@@ -140,29 +142,32 @@ def biquadratic_discs(xmax: int) -> np.ndarray:
     chi_-4) for (3^s - 1) / 2; f = 64 (the line of chi_8 or of chi_-8) for 3^s - 1;
     and f = 256 (the whole plane) for 3^s.  So one ``squarefree_power`` table over
     the odd primes with c = 3, up to sqrt(xmax), is 3^s at every odd squarefree m and
-    0 elsewhere, and each m <= sqrt(xmax / f) contributes its fields.  No value
-    exceeds xmax, and xmax above 2**63 - 1 raises ValueError before anything is sieved.
+    0 elsewhere.  xmax above 2**63 - 1 raises ValueError before anything is sieved.
     """
-    if xmax < 144:  # the smallest field is Q(sqrt(-3), i), |disc| = 3^2 * 16
-        return np.zeros(0, dtype=np.int64)
     if xmax > 2**63 - 1:
         raise ValueError(f"biquadratic counts need |disc| <= 2**63 - 1, got {xmax}")
+    xmax = max(xmax, 0)
     r = math.isqrt(xmax)
     h = squarefree_power(prime_array(r)[1:], 3, r)
     m = np.flatnonzero(h)  # the odd squarefree m, ascending
     t = h[m].astype(np.int64)  # 3^s
-    found = []
-    for f, fields in ((1, np.maximum(t - 3, 0) // 6), (16, (t - 1) // 2), (64, t - 1), (256, t)):
+    for f, a, b in ((1, 3, 6), (16, 1, 2), (64, 1, 1), (256, 0, 1)):  # (3^s - a) / b fields, none when s = 0
         end = np.searchsorted(m, math.isqrt(xmax // f), side="right")
-        found.append(np.repeat(m[:end] * m[:end] * f, fields[:end]))
-    discs = np.concatenate(found)
+        yield f, m[:end], np.maximum(t[:end] - a, 0) // b
+
+
+def biquadratic_discs(xmax: int) -> np.ndarray:
+    """|disc| values of the biquadratic fields with |disc| <= xmax, as a sorted int64
+    array: each class's m^2 * f, repeated once per field (see ``_biquadratic_classes``)."""
+    discs = np.concatenate([np.repeat(m * m * f, fields) for f, m, fields in _biquadratic_classes(xmax)])
     discs.sort()  # in place: no third copy of every |disc|
     return discs
 
 
 def count_biquadratic(x: int) -> int:
-    """Number of biquadratic (Klein four-group) fields with |disc| <= x."""
-    return len(biquadratic_discs(x))
+    """Number of biquadratic (Klein four-group) fields with |disc| <= x: each class's
+    field counts summed, with no |disc| listed."""
+    return sum(int(fields.sum()) for _, _, fields in _biquadratic_classes(x))
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":

@@ -1,12 +1,11 @@
 """Integer sieves: primes, one multiplicative table over squarefree n (the Möbius
-function is one case of it), squarefree flags, k-powerful counting, divisor tables,
-and a Dirichlet partial-sum probe."""
+function is one case of it), squarefree flags, k-powerful counting, and divisor tables
+with the divisor growth bound."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -234,52 +233,3 @@ def divisor_bound_check(limit: int, epsilon: float) -> DivisorBoundReport:
     with np.errstate(over="ignore"):
         bound = float(np.exp(2.0 ** (1.0 / eps) / (eps * math.log(2.0))))
     return DivisorBoundReport(max_ratio, bound, max_ratio <= bound)
-
-
-@dataclass(frozen=True)
-class TailProbeReport:
-    """Partial sums of sum a_n / n^s at the cutoffs, with increment diagnostics.
-
-    A shrinking max increment is numeric evidence of convergence for s > r,
-    not a proof.  coefficient_bound is the observed max of (partial sums of
-    a_n) / x^r over the coefficient range.
-    """
-
-    s: float
-    r: float
-    cutoffs: tuple[int, ...]
-    partial_sums: tuple[float, ...]
-    increments: tuple[float, ...]
-    max_increment: float
-    coefficient_bound: float
-
-
-def dirichlet_tail_probe(
-    coeffs: Sequence[float], r: float, s: float, grid: Sequence[int]
-) -> TailProbeReport:
-    """Probe convergence of sum a_n / n^s given partial sums of a_n growing like x^r."""
-    if s <= r:
-        raise ValueError(f"s must exceed r (got s={s}, r={r})")
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.size == 0 or (a < 0).any():
-        raise ValueError("coefficients must be nonnegative and nonempty")
-    cutoffs = [int(x) for x in grid]
-    if not cutoffs or any(c < 1 or c > a.size for c in cutoffs):
-        raise ValueError("cutoffs must lie in 1..len(coeffs)")
-    if any(b < c for b, c in zip(cutoffs[1:], cutoffs)):
-        raise ValueError("cutoffs must be ascending")
-    n = np.arange(1, a.size + 1, dtype=np.float64)
-    coefficient_bound = float((np.cumsum(a) / n**r).max())
-    terms = np.cumsum(a / n**s)
-    partial = tuple(float(terms[c - 1]) for c in cutoffs)
-    increments = tuple(b - c for b, c in zip(partial[1:], partial))
-    max_increment = max(increments, default=0.0)
-    return TailProbeReport(
-        s=float(s),
-        r=float(r),
-        cutoffs=tuple(cutoffs),
-        partial_sums=partial,
-        increments=increments,
-        max_increment=max_increment,
-        coefficient_bound=coefficient_bound,
-    )

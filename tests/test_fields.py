@@ -218,6 +218,19 @@ def test_biquadratic_against_square_triple_oracle(x):
 def test_biquadratic_against_closed_triple_oracle(x):
     discs = biquadratic_discs(x)
     assert discs.dtype == np.int64 and np.array_equal(discs, biquadratic_discs_triples(x))
+    assert count_biquadratic(x) == len(discs)
+
+
+def test_count_biquadratic_lists_no_disc():
+    # the 3^s table and its m; listing all 11,982,067 |disc| values took 225 MB
+    tracemalloc.start()
+    try:
+        count = count_biquadratic(10**13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 11_982_067
+    assert peak < 100_000_000
 
 
 def _random_fundamental_discriminants(rng: random.Random, count: int, bound: int) -> list[int]:

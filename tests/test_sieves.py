@@ -7,7 +7,6 @@ import pytest
 
 from galcount import sieves
 from galcount.sieves import (
-    dirichlet_tail_probe,
     divisor_bound_check,
     divisor_counts,
     introot,
@@ -232,29 +231,3 @@ def test_divisor_bound_check_holds_one_table_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
-
-
-def test_tail_probe_basel():
-    coeffs = [1.0] * 10_000
-    report = dirichlet_tail_probe(coeffs, r=1.0, s=2.0, grid=[10, 100, 1000, 10_000])
-    assert report.increments[-1] < 1e-3
-    assert all(b <= a for a, b in zip(report.increments, report.increments[1:]))
-    assert report.partial_sums[-1] == pytest.approx(math.pi**2 / 6, abs=1e-3)
-
-
-def test_tail_probe_powerful_coefficients():
-    limit = 100_000
-    coeffs = np.zeros(limit)
-    coeffs[np.array(powerful_numbers(2, limit)) - 1] = 1.0
-    report = dirichlet_tail_probe(coeffs, r=0.5, s=0.6, grid=[10, 100, 1000, 10_000, 100_000])
-    assert all(b <= a for a, b in zip(report.increments[1:], report.increments[2:]))
-    assert report.coefficient_bound < 3.0
-
-
-def test_tail_probe_contract():
-    with pytest.raises(ValueError):
-        dirichlet_tail_probe([1.0] * 10, r=1.0, s=1.0, grid=[5])
-    with pytest.raises(ValueError):
-        dirichlet_tail_probe([1.0, -1.0], r=0.0, s=1.0, grid=[2])
-    with pytest.raises(ValueError):
-        dirichlet_tail_probe([1.0] * 10, r=0.0, s=1.0, grid=[5, 20])
