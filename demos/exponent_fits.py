@@ -3,7 +3,7 @@
 exponent against the group-theoretic prediction a(G) for each family."""
 
 from galcount import (
-    biquadratic_tally,
+    biquadratic_samples,
     conjecture_verdict,
     cyclic_natural,
     cyclic_tally,
@@ -33,7 +33,7 @@ fit = fit_exponent(samples, log_power=0.0)
 print(f"  fitted a_hat = {fit.a_hat:.4f} from {fit.sample_count} samples")
 
 print("biquadratic fields, disc up to 1e8 with a free log power (prediction: a = 1/2)")
-samples = tally_samples(biquadratic_tally(10**8), geometric_grid(10**4, 10**8, 12))
+samples = biquadratic_samples(geometric_grid(10**4, 10**8, 12))
 v4 = regular_rep(direct_product(cyclic_natural(2), cyclic_natural(2)))
 verdict = conjecture_verdict(v4, fit_exponent(samples, log_power="fit"), 0.1)
 print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}, log power b = {verdict.fitted.b:.2f}  "

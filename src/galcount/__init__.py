@@ -53,6 +53,7 @@ _SOURCES = {
     "fields": (
         "CensusRecord",
         "DiscriminantTally",
+        "biquadratic_samples",
         "biquadratic_tally",
         "count_biquadratic",
         "count_cyclic_ell",

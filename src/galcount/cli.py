@@ -160,8 +160,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
         # default grid starts past the pre-asymptotic head, where the free
         # log power would otherwise soak up curvature from the first fields
         grid = _parse_grid(args.grid or "1e4:1e8:12")
-        tally = fields.biquadratic_tally(grid[-1])
-        return fields.tally_samples(tally, grid)
+        return fields.biquadratic_samples(grid)
     if args.family == "census":
         if not args.label or not args.file:
             raise GroupSpecError("census counts need --label and --file")

@@ -1,6 +1,6 @@
 """Exact counts of number fields over Q by absolute discriminant: quadratic (a
 closed form in O(sqrt(x)) time and memory), cyclic of odd prime degree via
-conductors, biquadratic, and ingested census data."""
+conductors, biquadratic from ramified prime sets, and ingested census data."""
 
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ def quadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
     Each S(y) is the int8 mu(d) dot ceil(floor(y / d^2) / 2) over odd d, ``_BLOCK`` d
     at a time; no term or partial sum exceeds y, so int64 is exact up to 2**63 - 1, and a
     larger x raises ValueError before anything is sieved."""
-    grid = list(grid)
-    _require_ascending(grid)
+    grid = _ascending(grid)
     if grid[-1] > 2**63 - 1:
         raise ValueError(f"quadratic counts need |disc| <= 2**63 - 1, got {grid[-1]}")
     mu = mobius(math.isqrt(max(grid[-1], 1)))
@@ -157,17 +156,26 @@ def _biquadratic_classes(xmax: int) -> Iterator[tuple[int, np.ndarray, np.ndarra
 
 
 def biquadratic_discs(xmax: int) -> np.ndarray:
-    """|disc| values of the biquadratic fields with |disc| <= xmax, as a sorted int64
-    array: each class's m^2 * f, repeated once per field (see ``_biquadratic_classes``)."""
+    """|disc| values of the biquadratic fields with |disc| <= xmax, as a sorted int64 array:
+    each class's m^2 * f, repeated once per field.  Counts come from ``biquadratic_samples``."""
     discs = np.concatenate([np.repeat(m * m * f, fields) for f, m, fields in _biquadratic_classes(xmax)])
     discs.sort()  # in place: no third copy of every |disc|
     return discs
 
 
 def count_biquadratic(x: int) -> int:
-    """Number of biquadratic (Klein four-group) fields with |disc| <= x: each class's
-    field counts summed, with no |disc| listed."""
-    return sum(int(fields.sum()) for _, _, fields in _biquadratic_classes(x))
+    """Number of biquadratic (Klein four-group) fields with |disc| <= x (see ``biquadratic_samples``)."""
+    return biquadratic_samples([x])[0][1]
+
+
+def biquadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
+    """(x, count) pairs on an ascending grid from one class table up to max(grid), no |disc| listed: each
+    class's running field count at every x, by one searchsorted of x // f among its m^2 (as m^2 * f <= x)."""
+    grid = _ascending(grid)
+    classes = list(_biquadratic_classes(grid[-1]))  # refuses a top past 2**63 - 1 before anything is sieved
+    xs = np.array(grid).clip(0)  # int64 after that refusal; an x below 0 counts no field
+    counts = sum(np.cumsum(np.append(0, fields))[np.searchsorted(m * m, xs // f, side="right")] for f, m, fields in classes)
+    return list(zip(grid, counts.tolist()))
 
 
 def biquadratic_tally(xmax: int) -> "DiscriminantTally":
@@ -234,8 +242,7 @@ class DiscriminantTally:
 
 def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, Z(x)) pairs on an ascending grid."""
-    grid = list(grid)
-    _require_ascending(grid)
+    grid = _ascending(grid)
     return list(zip(grid, tally._counts_up_to(grid)))
 
 
@@ -454,9 +461,10 @@ def _census_discs(text: str, records: Optional[list[CensusRecord]] = None) -> di
     return grouped
 
 
-def _require_ascending(grid: Sequence[int]) -> None:
+def _ascending(grid: Sequence[int]) -> list[int]:
+    grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    for a, b in zip(grid, grid[1:]):
-        if b < a:
-            raise ValueError("grid must be sorted ascending")
+    if grid != sorted(grid):
+        raise ValueError("grid must be sorted ascending")
+    return grid

@@ -86,9 +86,9 @@ def _fit_core(xs: Sequence[float], zs: Sequence[float], log_power: LogPower) -> 
     gram = design.T @ design
     if np.linalg.matrix_rank(gram) < design.shape[1]:
         raise ValueError("collinear design: samples cannot separate the fit parameters")
-    coeffs = np.linalg.solve(gram, design.T @ target)
-    residuals = target - design @ coeffs
     spread = np.linalg.solve(gram, design.T)  # column i is (X^T X)^-1 x_i
+    coeffs = spread @ target
+    residuals = target - design @ coeffs
     leverages = np.einsum("ij,ji->i", design, spread)
     with np.errstate(divide="ignore", invalid="ignore"):  # h_ii = 1 only where a removal leaves too few distinct x
         shifts = np.abs(spread[1] * residuals / (1 - leverages))

@@ -5,12 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galcount import fields
+from galcount import cli, fields
 from galcount.fields import (
     CensusFormatError,
     DiscriminantTally,
     biquadratic_discs,
+    biquadratic_samples,
+    biquadratic_tally,
     count_biquadratic,
     count_cyclic_ell,
     count_quadratic,
@@ -221,15 +225,60 @@ def test_biquadratic_against_closed_triple_oracle(x):
     assert count_biquadratic(x) == len(discs)
 
 
-def test_count_biquadratic_lists_no_disc():
-    # the 3^s table and its m; listing all 11,982,067 |disc| values took 225 MB
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [143, 144, 145, 255, 256, 257, 10**4, 10**6, 10**7, 10**9, 5 * 10**9 + 17],
+        [5 * 10**9 + 17],
+        [144, 144, 225, 225, 225, 10**6, 10**6],
+        [-(2**70), -5, -1, 0, 1, 143, 144],
+        [-3],
+    ],
+    ids=["oracle-points", "one-point", "repeated", "negative", "all-negative"],
+)
+def test_biquadratic_samples_match_the_tally(grid):
+    samples = biquadratic_samples(grid)
+    assert samples == tally_samples(biquadratic_tally(grid[-1]), grid)
+    assert all(type(z) is int for _, z in samples)
+    assert all(z == 0 for x, z in samples if x < 144)  # 144 = 3^2 * 16, Q(i, sqrt(3)), is the least |disc|
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(min_value=-10, max_value=10**10), min_size=1, max_size=12).map(sorted))
+def test_biquadratic_samples_property(grid):
+    assert biquadratic_samples(grid) == tally_samples(biquadratic_tally(grid[-1]), grid)
+
+
+def test_biquadratic_samples_refuse_past_int64():
+    for grid in ([2**63], [1000, 2**63], [10, 2**200]):
+        with pytest.raises(ValueError, match=r"^biquadratic counts need \|disc\| <= 2\*\*63 - 1, got "):
+            biquadratic_samples(grid)
+    with pytest.raises(ValueError, match="ascending"):
+        biquadratic_samples([10**6, 1000])
+    with pytest.raises(ValueError, match="nonempty"):
+        biquadratic_samples([])
+
+
+def _count_in_process(capsys):
+    assert cli.main(["count", "biquadratic", "--grid", "1000:1e13:3"]) == 0
+    return int(capsys.readouterr().out.splitlines()[-1].split(",")[1])
+
+
+@pytest.mark.parametrize(
+    "count",
+    [lambda capsys: count_biquadratic(10**13), _count_in_process],
+    ids=["library", "cli"],
+)
+def test_count_biquadratic_lists_no_disc(capsys, count):
+    # the 3^s table and its m, about 60 MB, in the library and through the CLI alike;
+    # listing all 11,982,067 |disc| values would take 225 MB
     tracemalloc.start()
     try:
-        count = count_biquadratic(10**13)
+        total = count(capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 11_982_067
+    assert total == 11_982_067
     assert peak < 100_000_000
 
 

@@ -150,19 +150,28 @@ def test_fitted_constant_past_the_float_range_is_inf():
 
 
 def test_fit_solves_once(monkeypatch):
-    solves = []
-    core = fitting._fit_core
+    import numpy as np
+
+    solves, linalg_solves = [], []
+    core, linalg_solve = fitting._fit_core, np.linalg.solve
 
     def counted(*args):
         solves.append(1)
         return core(*args)
 
+    def counted_linalg(*args):
+        linalg_solves.append(1)
+        return linalg_solve(*args)
+
     monkeypatch.setattr(fitting, "_fit_core", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted_linalg)
     samples = [(x, 3 * x**0.5 + (x % 7)) for x in geometric_grid(10, 10**7, 200)]
     for log_power in (0.0, 1.0, "fit"):
         solves.clear()
+        linalg_solves.clear()
         assert not math.isnan(fit_exponent(samples, log_power).loo_max_shift)
         assert len(solves) == 1
+        assert len(linalg_solves) == 1  # the coefficients and the leave-one-out shifts share one solve
 
 
 def test_collinear_design_refused_through_the_cli(tmp_path, capsys):

@@ -17,7 +17,7 @@ EXPORTS = [
     "CensusFormatError", "CensusRecord", "CycleParseError", "DEFAULT_CAP", "DiscriminantTally",
     "DivisorBoundReport", "DominationReport", "DominationWitness", "DualRep", "EnumerationCapError",
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
-    "Verdict", "alternating_natural", "biquadratic_tally", "check_index_domination",
+    "Verdict", "alternating_natural", "biquadratic_samples", "biquadratic_tally", "check_index_domination",
     "conjecture_verdict", "coset_action", "count_biquadratic", "count_cyclic_ell",
     "count_quadratic", "cyclic_conductors", "cyclic_natural", "cyclic_tally", "dihedral_natural",
     "direct_product", "divisor_bound_check", "divisor_counts", "dual_regular_pair",
