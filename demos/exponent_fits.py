@@ -6,13 +6,12 @@ from galcount import (
     biquadratic_samples,
     conjecture_verdict,
     cyclic_natural,
-    cyclic_tally,
+    cyclic_samples,
     direct_product,
     fit_exponent,
     geometric_grid,
     quadratic_samples,
     regular_rep,
-    tally_samples,
 )
 
 print("quadratic fields, x up to 1e7 (prediction: a = 1)")
@@ -22,13 +21,13 @@ print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}  predicted {verdict.predicte
       f"within {verdict.tolerance}: {verdict.within_tolerance}")
 
 print("cyclic cubic fields, disc up to 1e12 (prediction: a = 1/2)")
-samples = tally_samples(cyclic_tally(3, 10**12), geometric_grid(10**3, 10**12, 10))
+samples = cyclic_samples(3, geometric_grid(10**3, 10**12, 10))
 verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), fit_exponent(samples, log_power=0.0), 0.05)
 print(f"  fitted a_hat = {verdict.fitted.a_hat:.4f}  predicted {verdict.predicted}  "
       f"within {verdict.tolerance}: {verdict.within_tolerance}")
 
 print("cyclic quintic fields, disc up to 1e16 (prediction: a = 1/4)")
-samples = tally_samples(cyclic_tally(5, 10**16), geometric_grid(11**4, 10**16, 12))
+samples = cyclic_samples(5, geometric_grid(11**4, 10**16, 12))
 fit = fit_exponent(samples, log_power=0.0)
 print(f"  fitted a_hat = {fit.a_hat:.4f} from {fit.sample_count} samples")
 

@@ -4,16 +4,15 @@ fundamental discriminants, cyclic cubic and quintic fields from conductors,
 and biquadratic fields from discriminant triples."""
 
 from galcount import (
-    biquadratic_tally,
     count_biquadratic,
     count_quadratic,
     cyclic_conductors,
-    cyclic_tally,
+    cyclic_samples,
     fundamental_discriminants,
     geometric_grid,
     quadratic_samples,
-    tally_samples,
 )
+from galcount.fields import biquadratic_tally
 
 print("Fundamental discriminants with |d| <= 30:")
 print(" ", fundamental_discriminants(30).tolist())
@@ -28,8 +27,8 @@ for f, fields in cyclic_conductors(3, 100).items():
 print()
 print("Counts on a geometric grid (x, Z(x)):")
 print("  quadratic:", quadratic_samples(geometric_grid(10, 10**6, 6)))
-print("  cyclic cubic:", tally_samples(cyclic_tally(3, 10**8), geometric_grid(49, 10**8, 6)))
-print("  cyclic quintic:", tally_samples(cyclic_tally(5, 10**12), geometric_grid(11**4, 10**12, 5)))
+print("  cyclic cubic:", cyclic_samples(3, geometric_grid(49, 10**8, 6)))
+print("  cyclic quintic:", cyclic_samples(5, geometric_grid(11**4, 10**12, 5)))
 
 print()
 print(f"Biquadratic fields with |disc| <= 10^4: {count_biquadratic(10**4)}")

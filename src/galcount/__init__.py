@@ -54,12 +54,11 @@ _SOURCES = {
         "CensusRecord",
         "DiscriminantTally",
         "biquadratic_samples",
-        "biquadratic_tally",
         "count_biquadratic",
         "count_cyclic_ell",
         "count_quadratic",
         "cyclic_conductors",
-        "cyclic_tally",
+        "cyclic_samples",
         "fundamental_discriminants",
         "ingest_census",
         "quadratic_samples",

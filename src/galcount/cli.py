@@ -154,8 +154,7 @@ def _family_samples(args) -> list[tuple[int, int]]:
                 raise ValueError("grid values must lie in the float range, below about 1.8e308")
             first = (2 * ell + 1) ** (ell - 1)
             grid = fitting.geometric_grid(first, 10_000 ** (ell - 1), 12)
-        tally = fields.cyclic_tally(ell, grid[-1])
-        return fields.tally_samples(tally, grid)
+        return fields.cyclic_samples(ell, grid)
     if args.family == "biquadratic":
         # default grid starts past the pre-asymptotic head, where the free
         # log power would otherwise soak up curvature from the first fields

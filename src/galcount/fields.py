@@ -1,6 +1,7 @@
-"""Exact counts of number fields over Q by absolute discriminant: quadratic (a
-closed form in O(sqrt(x)) time and memory), cyclic of odd prime degree via
-conductors, biquadratic from ramified prime sets, and ingested census data."""
+"""Exact counts of number fields over Q by absolute discriminant, each family counted at every grid
+point from one table: quadratic (a closed form in O(sqrt(x)) time and memory), cyclic of odd prime
+degree from conductors, and biquadratic from ramified prime sets.  A tally lists every |disc|: of an
+ingested census, or of a cyclic or biquadratic table as a listing view that no count reads."""
 
 from __future__ import annotations
 
@@ -98,27 +99,38 @@ def cyclic_conductors(ell: int, fmax: int) -> dict[int, int]:
 
     Admissible f: a product of t >= 1 distinct factors, each a prime = 1
     (mod ell) or ell^2, with (ell-1)**(t-1) fields.  A dict view of the
-    conductor arrays that ``cyclic_tally`` reads directly.
+    conductor arrays that ``cyclic_samples`` reads directly.
     """
     conductors, counts = _conductor_arrays(ell, fmax)
     return dict(zip(conductors.tolist(), counts.tolist()))
 
 
-def count_cyclic_ell(ell: int, x: int) -> int:
-    """Number of cyclic degree-ell fields with disc = f**(ell-1) <= x."""
-    return cyclic_tally(ell, x).total()
-
-
-def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
-    """Tally of cyclic degree-ell discriminants up to xmax, read from the conductor
-    table over f <= xmax**(1/(ell-1)) with array operations: the discriminants
-    f**(ell-1) <= xmax are one int64 power below 2**63 and exact Python ints in a
-    ``dtype=object`` array from there (an int64 power would wrap), each repeated
-    once per field of its conductor."""
+def _cyclic_discs(ell: int, xmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The discs f**(ell-1) <= xmax of the admissible conductors, ascending, and the number of fields
+    at each, from the conductor table over f <= xmax**(1/(ell-1)): one int64 power below 2**63, and
+    exact Python ints in a ``dtype=object`` array from there (an int64 power would wrap)."""
     conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
     if xmax >= 2**63:
         conductors = conductors.astype(object)
-    discs = conductors ** (ell - 1) if conductors.size else conductors  # with no conductor, ell may pass int64
+    return (conductors ** (ell - 1) if conductors.size else conductors), counts  # with no conductor, ell may pass int64
+
+
+def count_cyclic_ell(ell: int, x: int) -> int:
+    """Number of cyclic degree-ell fields with disc = f**(ell-1) <= x (see ``cyclic_samples``)."""
+    return cyclic_samples(ell, [x])[0][1]
+
+
+def cyclic_samples(ell: int, grid: Sequence[int]) -> list[tuple[int, int]]:
+    """(x, count) pairs on an ascending grid from one conductor table up to max(grid)**(1/(ell-1)),
+    no field listed: the running field count at every x, by one searchsorted among the discriminants."""
+    grid = _ascending(grid)
+    discs, counts = _cyclic_discs(ell, grid[-1])
+    return list(zip(grid, np.cumsum(np.append(0, counts))[_at_most(discs, grid)].tolist()))
+
+
+def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
+    """A listing view of the table ``cyclic_samples`` counts from: each disc <= xmax, once per field."""
+    discs, counts = _cyclic_discs(ell, xmax)
     return DiscriminantTally(f"C{ell}", np.repeat(discs, counts))
 
 
@@ -222,28 +234,25 @@ class DiscriminantTally:
     def total(self) -> int:
         return self._discs.size
 
-    def count_up_to(self, x: int) -> int:
-        """Z(x): number of fields with |disc| <= x."""
-        return self._counts_up_to([x])[0]
-
-    def _counts_up_to(self, xs: list[int]) -> list[int]:
-        """Z(x) for each x of an ascending list, as Python ints, from one searchsorted.
-        Against int64 |disc| values, all in 1..2**63 - 1, an x below 0 counts no
-        field and an x from 2**63 counts all, so only the x between become int64."""
-        lo, hi = 0, len(xs)
-        if self._discs.dtype != object:
-            lo, hi = bisect.bisect_left(xs, 0), bisect.bisect_left(xs, 2**63)
-        at = np.searchsorted(self._discs, np.array(xs[lo:hi], dtype=self._discs.dtype), side="right")
-        return [0] * lo + at.tolist() + [self.total()] * (len(xs) - hi)
-
     def __repr__(self) -> str:
         return f"DiscriminantTally({self.label!r}, Z={self.total()})"
 
 
 def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
-    """(x, Z(x)) pairs on an ascending grid."""
+    """(x, Z(x)) pairs on an ascending grid, Z(x) the number of fields with |disc| <= x."""
     grid = _ascending(grid)
-    return list(zip(grid, tally._counts_up_to(grid)))
+    return list(zip(grid, _at_most(tally._discs, grid).tolist()))
+
+
+def _at_most(discs: np.ndarray, grid: list[int]) -> np.ndarray:
+    """The number of ``discs`` (ascending) at most x, for each x of an ascending grid, from one
+    searchsorted.  Against int64 values, all in 1..2**63 - 1, an x below 0 counts none and an
+    x from 2**63 counts all, so only the x between become int64."""
+    lo, hi = 0, len(grid)
+    if discs.dtype != object:
+        lo, hi = bisect.bisect_left(grid, 0), bisect.bisect_left(grid, 2**63)
+    at = np.searchsorted(discs, np.array(grid[lo:hi], dtype=discs.dtype), side="right")
+    return np.pad(at, (lo, len(grid) - hi), constant_values=(0, discs.size))
 
 
 CENSUS_HEADER = "degree,group,abs_disc"

@@ -185,22 +185,19 @@ def test_criterion_6_empirical_exponents():
         assert time.perf_counter() - start < 60.0
 
         start = time.perf_counter()
-        tally = fields.cyclic_tally(3, 10**12)
-        samples = fields.tally_samples(tally, fitting.geometric_grid(10**3, 10**12, 10))
+        samples = fields.cyclic_samples(3, fitting.geometric_grid(10**3, 10**12, 10))
         fit = fitting.fit_exponent(samples, log_power=0.0)
         assert abs(fit.a_hat - 0.5) <= 0.05, f"cyclic cubic a_hat={fit.a_hat}"
         assert time.perf_counter() - start < 60.0
 
         start = time.perf_counter()
-        tally = fields.cyclic_tally(5, 10**16)  # conductors up to 1e4
-        samples = fields.tally_samples(tally, fitting.geometric_grid(11**4, 10**16, 12))
+        samples = fields.cyclic_samples(5, fitting.geometric_grid(11**4, 10**16, 12))  # conductors up to 1e4
         fit = fitting.fit_exponent(samples, log_power=0.0)
         assert abs(fit.a_hat - 0.25) <= 0.07, f"cyclic quintic a_hat={fit.a_hat}"
         assert time.perf_counter() - start < 60.0
 
         start = time.perf_counter()
-        tally = fields.biquadratic_tally(10**8)
-        samples = fields.tally_samples(tally, fitting.geometric_grid(10**4, 10**8, 12))
+        samples = fields.biquadratic_samples(fitting.geometric_grid(10**4, 10**8, 12))
         fit = fitting.fit_exponent(samples, log_power="fit")
         assert abs(fit.a_hat - 0.5) <= 0.1, f"biquadratic a_hat={fit.a_hat}"
         assert time.perf_counter() - start < 60.0

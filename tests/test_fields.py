@@ -19,6 +19,7 @@ from galcount.fields import (
     count_cyclic_ell,
     count_quadratic,
     cyclic_conductors,
+    cyclic_samples,
     cyclic_tally,
     fundamental_discriminants,
     ingest_census,
@@ -126,7 +127,7 @@ def test_cyclic_tally_past_int64(ell):
     tally = cyclic_tally(ell, xmax)
     assert tally.entries == expected
     for x in (2**63 - 1, 2**63, expected[-1][0] - 1, xmax, 2**70):
-        assert tally.count_up_to(x) == sum(m for d, m in expected if d <= x)
+        assert _count_up_to(tally, x) == sum(m for d, m in expected if d <= x)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
@@ -192,6 +193,63 @@ def test_cyclic_discriminants_are_powerful():
     tally5 = cyclic_tally(5, xmax)
     powerful4 = set(powerful_numbers(4, xmax))
     assert tally5.entries and all(d in powerful4 for d, _ in tally5.entries)
+
+
+@pytest.mark.parametrize(
+    "ell, grid",
+    [
+        (3, [10**12]),
+        (5, [10**16]),
+        (7, [10**20]),
+        (3, [48, 49, 49, 50, 80, 81, 81, 82, 3969, 3969, 10**8]),
+        (3, [-(2**70), -5, -1, 0, 1, 48, 49]),
+        (5, [-3]),
+        (5, [-(2**70), 0, 11**4 - 1, 11**4, 11**4 + 1, 2**63 - 1, 2**63, 10**20]),
+        (7, [-(2**70), 29**6 - 1, 29**6, 29**6 + 1, 2**63 - 1, 2**63, 10**40]),
+        (7, [2**63 - 1]),
+        (7, [10, 2**63]),
+        (2**64 + 13, [-(2**70), 1000, 2**63 - 1, 2**63, 10**40]),
+    ],
+    ids=["cubic", "quintic", "septic", "repeated", "negative", "all-negative", "quintic-past-int64",
+         "septic-past-int64", "top-2**63-1", "top-2**63", "ell-past-int64"],
+)
+def test_cyclic_samples_match_the_tally(ell, grid):
+    samples = cyclic_samples(ell, grid)
+    assert samples == tally_samples(cyclic_tally(ell, grid[-1]), grid)
+    assert all(type(z) is int for _, z in samples)
+    if ell < 100 and introot(max(grid[-1], 1), ell - 1) <= 10**5:
+        conductors = cyclic_conductors_slow(ell, introot(max(grid[-1], 1), ell - 1))
+        assert samples == [(x, sum(m for f, m in conductors.items() if f ** (ell - 1) <= x)) for x in grid]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]),
+       st.lists(st.integers(min_value=-10, max_value=10**12), min_size=1, max_size=12).map(sorted))
+def test_cyclic_samples_property(ell, grid):
+    assert cyclic_samples(ell, grid) == tally_samples(cyclic_tally(ell, grid[-1]), grid)
+
+
+def test_cyclic_samples_refusals():
+    with pytest.raises(ValueError, match="nonempty"):
+        cyclic_samples(3, [])
+    with pytest.raises(ValueError, match="ascending"):
+        cyclic_samples(3, [10**6, 1000])
+    for ell in (2, 4, 9, 15, 2**64):
+        with pytest.raises(ValueError, match="odd prime"):
+            cyclic_samples(ell, [1000])
+
+
+def test_cyclic_counts_build_no_tally(capsys, monkeypatch):
+    # the library and the CLI's count and fit all read the conductor table, listing no field
+    def refuse(*args):
+        raise AssertionError("a DiscriminantTally was built")
+
+    monkeypatch.setattr(fields, "DiscriminantTally", refuse)
+    assert count_cyclic_ell(3, 10**8) == 1_592
+    assert cli.main(["count", "cyclic", "--ell", "3", "--grid", "1000:1e12:8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1000000000000,158542"
+    assert cli.main(["fit", "--family", "cyclic", "--ell", "3"]) == 0
+    assert capsys.readouterr().out.startswith("a_hat: 0.49741118\n")
 
 
 def test_compose_discriminants():
@@ -319,6 +377,11 @@ def test_counts_nondecreasing():
     assert values == sorted(values)
 
 
+def _count_up_to(tally, x):
+    """Z(x) of a tally, read through a one-point grid."""
+    return tally_samples(tally, [x])[0][1]
+
+
 def test_tally_basics():
     tally = DiscriminantTally("demo", [49, 81])
     assert tally_samples(tally, [48, 49, 100]) == [(48, 0), (49, 1), (100, 2)]
@@ -330,7 +393,7 @@ def test_tally_basics():
         tally_samples(tally, [100, 49])
     repeats = DiscriminantTally("demo", np.array([49, 49, 81, 81, 81], dtype=np.int64))
     assert repeats.entries == ((49, 2), (81, 3)) and repeats.total() == 5
-    assert [repeats.count_up_to(x) for x in (48, 49, 80, 81)] == [0, 2, 2, 5]
+    assert [_count_up_to(repeats, x) for x in (48, 49, 80, 81)] == [0, 2, 2, 5]
 
 
 @pytest.mark.parametrize(
@@ -350,12 +413,12 @@ def test_tally_counts_beyond_int64():
     assert small.entries == ((49, 2), (2**63 - 1, 1)) and big.entries == ((49, 2), (2**63, 1), (2**70, 3))
     for x, want_small, want_big in [(-(2**70), 0, 0), (-1, 0, 0), (48, 0, 0), (49, 2, 2), (2**63 - 1, 3, 2),
                                     (2**63, 3, 3), (2**70 - 1, 3, 3), (2**70, 3, 6), (2**80, 3, 6)]:
-        assert (small.count_up_to(x), big.count_up_to(x)) == (want_small, want_big), x
-    assert all(type(v) is int for v in (small.total(), big.total(), small.count_up_to(50), *big.entries[1]))
+        assert (_count_up_to(small, x), _count_up_to(big, x)) == (want_small, want_big), x
+    assert all(type(v) is int for v in (small.total(), big.total(), _count_up_to(small, 50), *big.entries[1]))
     grid = [-(2**70), -1, 0, 49, 2**63 - 1, 2**63, 2**70, 2**80]
     for tally in (small, big, DiscriminantTally("none", [])):
         samples = tally_samples(tally, grid)
-        assert samples == [(x, tally.count_up_to(x)) for x in grid]
+        assert samples == [(x, _count_up_to(tally, x)) for x in grid]
         assert all(type(z) is int for _, z in samples)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from galcount import fitting
 from galcount.constructions import cyclic_natural, regular_rep
-from galcount.fields import cyclic_tally, quadratic_samples, tally_samples
+from galcount.fields import cyclic_samples, quadratic_samples
 from galcount.fitting import (
     MAX_GRID_POINTS,
     InsufficientSamplesError,
@@ -195,8 +195,7 @@ def test_verdict_quadratic():
 
 
 def test_verdict_cyclic_cubic():
-    tally = cyclic_tally(3, 10**10)
-    samples = tally_samples(tally, geometric_grid(10**3, 10**10, 10))
+    samples = cyclic_samples(3, geometric_grid(10**3, 10**10, 10))
     verdict = conjecture_verdict(regular_rep(cyclic_natural(3)), fit_exponent(samples, log_power=0.0), 0.05)
     assert float(verdict.predicted) == 0.5
     assert verdict.within_tolerance

@@ -17,9 +17,9 @@ EXPORTS = [
     "CensusFormatError", "CensusRecord", "CycleParseError", "DEFAULT_CAP", "DiscriminantTally",
     "DivisorBoundReport", "DominationReport", "DominationWitness", "DualRep", "EnumerationCapError",
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
-    "Verdict", "alternating_natural", "biquadratic_samples", "biquadratic_tally", "check_index_domination",
+    "Verdict", "alternating_natural", "biquadratic_samples", "check_index_domination",
     "conjecture_verdict", "coset_action", "count_biquadratic", "count_cyclic_ell",
-    "count_quadratic", "cyclic_conductors", "cyclic_natural", "cyclic_tally", "dihedral_natural",
+    "count_quadratic", "cyclic_conductors", "cyclic_natural", "cyclic_samples", "dihedral_natural",
     "direct_product", "divisor_bound_check", "divisor_counts", "dual_regular_pair",
     "fit_exponent", "fundamental_discriminants", "geometric_grid", "heisenberg_mod3", "ingest_census",
     "parse_cycles", "parse_group_expr", "parse_group_file", "parse_paired_file", "powerful_count",
