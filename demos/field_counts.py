@@ -32,6 +32,6 @@ print("  cyclic quintic:", cyclic_samples(5, geometric_grid(11**4, 10**12, 5)))
 
 print()
 print(f"Biquadratic fields with |disc| <= 10^4: {count_biquadratic(10**4)}")
-tally = biquadratic_tally(2000)
-print("First few biquadratic |disc| values:", [d for d, _ in tally.entries][:8])
+discs = biquadratic_tally(2000)  # ascending, each |disc| once per field
+print("First few biquadratic |disc| values:", sorted(set(discs.tolist()))[:8])
 print("(the smallest is 144 = |(-3) * (-4) * 12|)")

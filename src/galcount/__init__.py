@@ -52,7 +52,6 @@ _SOURCES = {
     ),
     "fields": (
         "CensusRecord",
-        "DiscriminantTally",
         "biquadratic_samples",
         "count_biquadratic",
         "count_cyclic_ell",

@@ -160,20 +160,19 @@ def _family_samples(args) -> list[tuple[int, int]]:
         # log power would otherwise soak up curvature from the first fields
         grid = _parse_grid(args.grid or "1e4:1e8:12")
         return fields.biquadratic_samples(grid)
-    if args.family == "census":
-        if not args.label or not args.file:
-            raise GroupSpecError("census counts need --label and --file")
-        tallies = fields.ingest_census(read_text(args.file, CensusFormatError))
-        if args.label not in tallies:
-            raise CensusFormatError(f"label {args.label!r} not present in census")
-        tally = tallies[args.label]
-        if args.grid:
-            grid = _parse_grid(args.grid)
-        else:
-            top = tally.largest_disc()
-            grid = fitting.geometric_grid(1, top, min(top, 12))
-        return fields.tally_samples(tally, grid)
-    raise GroupSpecError(f"unknown family {args.family!r}")
+    # argparse's choices leave only the census
+    if not args.label or not args.file:
+        raise GroupSpecError("census counts need --label and --file")
+    census = fields.ingest_census(read_text(args.file, CensusFormatError))
+    if args.label not in census:
+        raise CensusFormatError(f"label {args.label!r} not present in census")
+    discs = census[args.label]
+    if args.grid:
+        grid = _parse_grid(args.grid)
+    else:
+        top = int(discs[-1])
+        grid = fitting.geometric_grid(1, top, min(top, 12)) if top > 1 else [1]
+    return fields.tally_samples(discs, grid)
 
 
 def _cmd_count(args) -> int:

@@ -1,7 +1,8 @@
 """Exact counts of number fields over Q by absolute discriminant, each family counted at every grid
 point from one table: quadratic (a closed form in O(sqrt(x)) time and memory), cyclic of odd prime
-degree from conductors, and biquadratic from ramified prime sets.  A tally lists every |disc|: of an
-ingested census, or of a cyclic or biquadratic table as a listing view that no count reads."""
+degree from conductors, and biquadratic from ramified prime sets.  An ingested census is one ascending
+|disc| array per label, which ``tally_samples`` reads; ``cyclic_tally`` and ``biquadratic_tally`` list
+a table's |disc| values the same way, as listing views that no count reads."""
 
 from __future__ import annotations
 
@@ -128,10 +129,9 @@ def cyclic_samples(ell: int, grid: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip(grid, np.cumsum(np.append(0, counts))[_at_most(discs, grid)].tolist()))
 
 
-def cyclic_tally(ell: int, xmax: int) -> "DiscriminantTally":
+def cyclic_tally(ell: int, xmax: int) -> np.ndarray:
     """A listing view of the table ``cyclic_samples`` counts from: each disc <= xmax, once per field."""
-    discs, counts = _cyclic_discs(ell, xmax)
-    return DiscriminantTally(f"C{ell}", np.repeat(discs, counts))
+    return np.repeat(*_cyclic_discs(ell, xmax))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,7 @@ def biquadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip(grid, counts.tolist()))
 
 
-def biquadratic_tally(xmax: int) -> "DiscriminantTally":
-    return DiscriminantTally("C2xC2", biquadratic_discs(xmax))
+biquadratic_tally = biquadratic_discs  # a second name, which perfbench/spans.py times as a listing view
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +206,15 @@ def _exact_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class DiscriminantTally:
-    """The |disc| of every field of one group label, ascending with repeats kept, as one
-    array: int64 when every value fits, ``dtype=object`` (exact Python ints) past 2**63."""
-
-    __slots__ = ("label", "_discs")
-
-    def __init__(self, label: str, discs: Union[np.ndarray, Sequence[int]]):
-        """From an array or a list of ints; a value below 1 or a descending pair raises ValueError."""
-        discs = discs if isinstance(discs, np.ndarray) else _exact_array(discs)
-        if np.any(discs[:1] < 1) or np.any(discs[1:] < discs[:-1]):
-            raise ValueError("abs_disc values must be positive and ascending")
-        self.label = label
-        self._discs = discs
-
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        """(|disc|, multiplicity) pairs, ascending in |disc|, as Python ints."""
-        values, counts = np.unique(self._discs, return_counts=True)
-        return tuple(zip(values.tolist(), counts.tolist()))
-
-    def largest_disc(self) -> int:
-        """The largest |disc| in the tally, which must not be empty."""
-        return int(self._discs[-1])
-
-    def total(self) -> int:
-        return self._discs.size
-
-    def __repr__(self) -> str:
-        return f"DiscriminantTally({self.label!r}, Z={self.total()})"
-
-
-def tally_samples(tally: DiscriminantTally, grid: Sequence[int]) -> list[tuple[int, int]]:
-    """(x, Z(x)) pairs on an ascending grid, Z(x) the number of fields with |disc| <= x."""
+def tally_samples(discs: Union[np.ndarray, Sequence[int]], grid: Sequence[int]) -> list[tuple[int, int]]:
+    """(x, Z(x)) pairs on an ascending grid, Z(x) the number of ``discs`` at most x: the |disc| of every
+    field of one label, ascending with repeats kept, as an array or a list of ints.  A value below 1 or
+    a descending pair raises ValueError, since the count is one searchsorted."""
+    discs = discs if isinstance(discs, np.ndarray) else _exact_array(discs)
+    if np.any(discs[:1] < 1) or np.any(discs[1:] < discs[:-1]):
+        raise ValueError("abs_disc values must be positive and ascending")
     grid = _ascending(grid)
-    return list(zip(grid, _at_most(tally._discs, grid).tolist()))
+    return list(zip(grid, _at_most(discs, grid).tolist()))
 
 
 def _at_most(discs: np.ndarray, grid: list[int]) -> np.ndarray:
@@ -279,22 +252,21 @@ def read_census_records(text: str) -> list[CensusRecord]:
     return records
 
 
-def ingest_census(text: str) -> dict[str, DiscriminantTally]:
+def ingest_census(text: str) -> dict[str, np.ndarray]:
     """Read a census of fields (one per line) from a file's text and group it into
-    tallies by label.
+    ascending |disc| arrays by label.
 
     Each record is one field, so a repeated (label, abs_disc) is kept.  Lines end at
     "\\n" only, as in a file read in text mode.  Canonical lines (see
     ``_canonical_census``) are read by one array pass over blocks of the text, and any
     other text by the per-line reader ``_census_discs``, with identical results; the
-    per-line reader alone raises CensusFormatError.  Each tally holds an int64 array,
-    or a ``dtype=object`` array once a |disc| passes 2**63.
+    per-line reader alone raises CensusFormatError.  Each array is int64, or a
+    ``dtype=object`` array of exact Python ints once a |disc| passes 2**63.
     """
     grouped = _canonical_census(text)
     if grouped is None:
-        per_line = _census_discs(text)
-        grouped = {label: np.sort(_exact_array(discs)) for label, discs in per_line.items()}
-    return {label: DiscriminantTally(label, discs) for label, discs in grouped.items()}
+        grouped = {label: np.sort(_exact_array(discs)) for label, discs in _census_discs(text).items()}
+    return grouped
 
 
 def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from galcount.constructions import DominationReport, DominationWitness, DualRep, InconsistentDualRep
-from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, DiscriminantTally, fundamental_discriminants
+from galcount.fields import CENSUS_HEADER, CensusFormatError, CensusRecord, fundamental_discriminants
 from galcount.groups import DEFAULT_CAP, EnumerationCapError, PermGroup
 from galcount.perms import Perm
 from galcount.sieves import introot, squarefree_sieve
@@ -519,17 +519,19 @@ def read_census_records_slow(text: str) -> list[CensusRecord]:
     return records
 
 
-def ingest_census_slow(text: str) -> dict[str, DiscriminantTally]:
-    """Read a census of fields (one per line) and group it into tallies by label.
+def ingest_census_slow(text: str) -> dict[str, np.ndarray]:
+    """Read a census of fields (one per line) and group it into ascending |disc| arrays by label.
 
-    Repeated (label, abs_disc) records accumulate multiplicity, and the tally repeats
-    each |disc| that many times.
+    Repeated (label, abs_disc) records accumulate multiplicity, and the array repeats
+    each |disc| that many times.  An array is int64 while its largest |disc| fits, and
+    holds Python ints in ``dtype=object`` from 2**63.
     """
     grouped: dict[str, dict[int, int]] = {}
     for record in read_census_records_slow(text):
         merged = grouped.setdefault(record.group_label, {})
         merged[record.abs_disc] = merged.get(record.abs_disc, 0) + 1
-    return {
-        label: DiscriminantTally(label, [d for d, m in sorted(merged.items()) for _ in range(m)])
-        for label, merged in grouped.items()
-    }
+    census = {}
+    for label, merged in grouped.items():
+        discs = [d for d, m in sorted(merged.items()) for _ in range(m)]
+        census[label] = np.array(discs, dtype=np.int64 if discs[-1] < 2**63 else object)
+    return census

@@ -241,10 +241,8 @@ def test_criterion_9_census_ingest_and_fit():
             disc += 3 + (i * 7) % 11
             rows.append(f"3,S3,{disc}")
         tallies = fields.ingest_census("\n".join(rows))
-        tally = tallies["S3"]
-        samples = fields.tally_samples(
-            tally, fitting.geometric_grid(100, tally.entries[-1][0], 10)
-        )
+        discs = tallies["S3"]
+        samples = fields.tally_samples(discs, fitting.geometric_grid(100, int(discs[-1]), 10))
         fit = fitting.fit_exponent(samples, log_power=0.0)
         assert math.isfinite(fit.a_hat)  # the path works end to end; exponent reported
         assert abs(fit.a_hat - 1.0) <= 0.1  # synthetic census grows linearly
@@ -261,8 +259,8 @@ def test_criterion_9_genuine_cubic_census():
     with criterion(9, "genuine cubic census fits exponent within 0.1 of 1"):
         tallies = fields.ingest_census(read_text(str(GENUINE_CENSUS), fields.CensusFormatError))
         label = "S3" if "S3" in tallies else sorted(tallies)[0]
-        tally = tallies[label]
-        top = tally.entries[-1][0]
-        samples = fields.tally_samples(tally, fitting.geometric_grid(max(top // 10**3, 10), top, 10))
+        discs = tallies[label]
+        top = int(discs[-1])
+        samples = fields.tally_samples(discs, fitting.geometric_grid(max(top // 10**3, 10), top, 10))
         fit = fitting.fit_exponent(samples, log_power=0.0)
         assert abs(fit.a_hat - 1.0) <= 0.1

@@ -124,12 +124,12 @@ GRID = [0, 1, 2, 3, 5, 8, 13, 21, 40, 3000, 10**18 - 1, 10**18, 2**63 - 1, 2**63
 
 
 def outcome(ingest, source):
-    """The error message, or each tally's label, entries, total and counts on GRID."""
+    """The error message, or each label with its |disc| array's dtype, values and counts on GRID."""
     try:
-        tallies = ingest(source)
+        census = ingest(source)
     except CensusFormatError as exc:
         return str(exc)
-    return [(label, t.entries, t.total(), [tally_samples(t, [x])[0][1] for x in GRID]) for label, t in tallies.items()]
+    return [(label, d.dtype, d.tolist(), [tally_samples(d, [x])[0][1] for x in GRID]) for label, d in census.items()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -152,9 +152,9 @@ def test_ingest_matches_reference(text):
         assert want == str(exc)
         return
     assert read_census_records(text) == records
-    for label, _, total, counts in want:
+    for label, _, values, counts in want:
         discs = [r.abs_disc for r in records if r.group_label == label]
-        assert total == len(discs)
+        assert values == sorted(discs)
         assert counts == [sum(d <= x for d in discs) for x in GRID]
 
 

@@ -352,16 +352,21 @@ def test_census_default_grid_on_a_small_census(tmp_path, capsys):
     path.write_text("degree,group,abs_disc\n2,C2,3\n2,C2,4\n2,C2,5\n2,C2,8\n")
     code, out, _ = run_cli(capsys, "count", "census", "--label", "C2", "--file", str(path))
     assert code == 0 and out == "x,count\n1,0\n2,0\n3,1\n4,2\n6,3\n8,4\n"
+    # a census that tops out at |disc| 1 is counted at the one point 1, too few to fit
+    path.write_text("degree,group,abs_disc\n1,Q,1\n")
+    assert run_cli(capsys, "count", "census", "--label", "Q", "--file", str(path)) == (0, "x,count\n1,1\n", "")
+    assert run_cli(capsys, "fit", "--family", "census", "--label", "Q", "--file", str(path)) == (
+        6, "", "error: need at least 3 usable samples with distinct x, have 1\n"
+    )
 
 
-def test_census_default_grid_reads_the_largest_disc(tmp_path, capsys, monkeypatch):
-    # twelve points from 1 to the largest |disc|, read without building the (|disc|, count) pairs
+def test_census_default_grid_reads_the_largest_disc(tmp_path, capsys):
+    # twelve points from 1 to the largest |disc|, the last of the label's ascending array
     discs = [(i * 7919) % 1_000_003 + 1 for i in range(2000)]
     path = tmp_path / "census.csv"
     path.write_text("degree,group,abs_disc\n" + "".join(f"3,S3,{d}\n" for d in discs), encoding="utf-8")
     grid = fitting.geometric_grid(1, max(discs), 12)
     want = "x,count\n" + "".join(f"{x},{sum(d <= x for d in discs)}\n" for x in grid)
-    monkeypatch.setattr(fields.DiscriminantTally, "entries", property(lambda self: 1 / 0))
     assert run_cli(capsys, "count", "census", "--label", "S3", "--file", str(path)) == (0, want, "")
 
 

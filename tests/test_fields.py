@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from galcount import cli, fields
 from galcount.fields import (
     CensusFormatError,
-    DiscriminantTally,
     biquadratic_discs,
     biquadratic_samples,
     biquadratic_tally,
@@ -110,11 +109,15 @@ def test_cyclic_conductors_against_recursive_walk():
     assert cyclic_conductors(3, 10**5) == cyclic_conductors_slow(3, 10**5)
 
 
+def _listed(ell, conductors):
+    """Each disc f**(ell - 1) once per field of conductor f, ascending."""
+    return [f ** (ell - 1) for f, m in conductors.items() for _ in range(m)]
+
+
 def test_cyclic_tally_against_recursive_walk():
     for ell, xmax in [(3, 10**12), (5, 10**16)]:
         conductors = cyclic_conductors_slow(ell, introot(xmax, ell - 1))
-        expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
-        assert cyclic_tally(ell, xmax).entries == expected
+        assert cyclic_tally(ell, xmax).tolist() == _listed(ell, conductors)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
@@ -122,12 +125,12 @@ def test_cyclic_tally_past_int64(ell):
     # f**(ell - 1) passes 2**63 below 10**20, where an int64 power would wrap
     xmax = 10**20
     conductors = cyclic_conductors_slow(ell, introot(xmax, ell - 1))
-    expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
-    assert expected[-1][0] > 2**63
-    tally = cyclic_tally(ell, xmax)
-    assert tally.entries == expected
-    for x in (2**63 - 1, 2**63, expected[-1][0] - 1, xmax, 2**70):
-        assert _count_up_to(tally, x) == sum(m for d, m in expected if d <= x)
+    expected = _listed(ell, conductors)
+    assert expected[-1] > 2**63
+    discs = cyclic_tally(ell, xmax)
+    assert discs.dtype == object and discs.tolist() == expected
+    for x in (2**63 - 1, 2**63, expected[-1] - 1, xmax, 2**70):
+        assert _count_up_to(discs, x) == sum(d <= x for d in expected)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 13])
@@ -137,8 +140,7 @@ def test_cyclic_large_q_scatter_against_oracles(ell):
     for fmax in [0, 1, 2 * ell, 2 * ell + 1, wild - 1, wild, wild + 1, 3 * wild, wild * wild - 1, wild * wild, 5000]:
         conductors = cyclic_conductors_slow(ell, fmax)
         assert cyclic_conductors(ell, fmax) == conductors
-        expected = tuple((f ** (ell - 1), m) for f, m in conductors.items())
-        assert cyclic_tally(ell, fmax ** (ell - 1)).entries == expected
+        assert cyclic_tally(ell, fmax ** (ell - 1)).tolist() == _listed(ell, conductors)
 
 
 def test_cyclic_conductor_shape():
@@ -186,13 +188,12 @@ def test_cyclic_first_discriminants():
 
 def test_cyclic_discriminants_are_powerful():
     xmax = 10**6
-    tally = cyclic_tally(3, xmax)
     powerful = set(powerful_numbers(2, xmax))
-    assert all(d in powerful for d, _ in tally.entries)
+    assert set(cyclic_tally(3, xmax).tolist()) <= powerful
 
-    tally5 = cyclic_tally(5, xmax)
+    discs5 = cyclic_tally(5, xmax).tolist()
     powerful4 = set(powerful_numbers(4, xmax))
-    assert tally5.entries and all(d in powerful4 for d, _ in tally5.entries)
+    assert discs5 and set(discs5) <= powerful4
 
 
 @pytest.mark.parametrize(
@@ -242,9 +243,9 @@ def test_cyclic_samples_refusals():
 def test_cyclic_counts_build_no_tally(capsys, monkeypatch):
     # the library and the CLI's count and fit all read the conductor table, listing no field
     def refuse(*args):
-        raise AssertionError("a DiscriminantTally was built")
+        raise AssertionError("the cyclic fields were listed")
 
-    monkeypatch.setattr(fields, "DiscriminantTally", refuse)
+    monkeypatch.setattr(fields, "cyclic_tally", refuse)
     assert count_cyclic_ell(3, 10**8) == 1_592
     assert cli.main(["count", "cyclic", "--ell", "3", "--grid", "1000:1e12:8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1000000000000,158542"
@@ -377,48 +378,54 @@ def test_counts_nondecreasing():
     assert values == sorted(values)
 
 
-def _count_up_to(tally, x):
-    """Z(x) of a tally, read through a one-point grid."""
-    return tally_samples(tally, [x])[0][1]
+def _count_up_to(discs, x):
+    """Z(x) of an ascending |disc| array or list, read through a one-point grid."""
+    return tally_samples(discs, [x])[0][1]
 
 
 def test_tally_basics():
-    tally = DiscriminantTally("demo", [49, 81])
-    assert tally_samples(tally, [48, 49, 100]) == [(48, 0), (49, 1), (100, 2)]
-    assert tally_samples(tally, [48, 48]) == [(48, 0), (48, 0)]
-    empty = DiscriminantTally("none", [])
-    assert tally_samples(empty, [1, 10]) == [(1, 0), (10, 0)]
-    assert empty.entries == () and empty.total() == 0
-    with pytest.raises(ValueError):
-        tally_samples(tally, [100, 49])
-    repeats = DiscriminantTally("demo", np.array([49, 49, 81, 81, 81], dtype=np.int64))
-    assert repeats.entries == ((49, 2), (81, 3)) and repeats.total() == 5
+    discs = [49, 81]
+    assert tally_samples(discs, [48, 49, 100]) == [(48, 0), (49, 1), (100, 2)]
+    assert tally_samples(np.array(discs), [48, 48]) == [(48, 0), (48, 0)]
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        assert tally_samples(empty, [1, 10]) == [(1, 0), (10, 0)]
+    with pytest.raises(ValueError, match="ascending"):
+        tally_samples(discs, [100, 49])
+    repeats = np.array([49, 49, 81, 81, 81], dtype=np.int64)
     assert [_count_up_to(repeats, x) for x in (48, 49, 80, 81)] == [0, 2, 2, 5]
+    assert [_count_up_to(repeats.tolist(), x) for x in (48, 49, 80, 81)] == [0, 2, 2, 5]
 
 
 @pytest.mark.parametrize(
     "discs",
     [[81, 49], [49, 81, 64], [0], [0, 49], [-5, 49], np.array([49, 48]), np.array([0, 1]),
-     [2**70, 2**63], [0, 2**70], np.array([2**70, 49], dtype=object)],
+     [2**70, 2**63], [0, 2**70], np.array([2**70, 49], dtype=object),
+     np.array([81, 49, 64]), np.array([0]), np.array([-5, 49]), [-5], np.array([-5]), [-(2**70), 49]],
 )
 def test_tally_refuses_a_descending_pair_or_a_value_below_1(discs):
-    with pytest.raises(ValueError, match="positive and ascending"):
-        DiscriminantTally("bad", discs)
+    # refused before the grid is read, and whatever the grid
+    for grid in ([10**6], [-1, 0], [2**70]):
+        with pytest.raises(ValueError, match="positive and ascending"):
+            tally_samples(discs, grid)
 
 
 def test_tally_counts_beyond_int64():
-    small = DiscriminantTally("small", [49, 49, 2**63 - 1])
-    big = DiscriminantTally("big", [49, 49, 2**63, 2**70, 2**70, 2**70])
-    assert small._discs.dtype == np.int64 and big._discs.dtype == object
-    assert small.entries == ((49, 2), (2**63 - 1, 1)) and big.entries == ((49, 2), (2**63, 1), (2**70, 3))
+    census = ingest_census(
+        "degree,group,abs_disc\n"
+        + "".join(f"2,small,{d}\n" for d in (2**63 - 1, 49, 49))
+        + "".join(f"2,big,{d}\n" for d in (2**70, 49, 2**70, 2**63, 49, 2**70))
+    )
+    small, big = census["small"], census["big"]
+    assert small.dtype == np.int64 and big.dtype == object
+    assert small.tolist() == [49, 49, 2**63 - 1] and big.tolist() == [49, 49, 2**63, 2**70, 2**70, 2**70]
     for x, want_small, want_big in [(-(2**70), 0, 0), (-1, 0, 0), (48, 0, 0), (49, 2, 2), (2**63 - 1, 3, 2),
                                     (2**63, 3, 3), (2**70 - 1, 3, 3), (2**70, 3, 6), (2**80, 3, 6)]:
         assert (_count_up_to(small, x), _count_up_to(big, x)) == (want_small, want_big), x
-    assert all(type(v) is int for v in (small.total(), big.total(), _count_up_to(small, 50), *big.entries[1]))
+    assert all(type(v) is int for v in (_count_up_to(small, 50), _count_up_to(big, 2**70), *big.tolist()))
     grid = [-(2**70), -1, 0, 49, 2**63 - 1, 2**63, 2**70, 2**80]
-    for tally in (small, big, DiscriminantTally("none", [])):
-        samples = tally_samples(tally, grid)
-        assert samples == [(x, _count_up_to(tally, x)) for x in grid]
+    for discs in (small, big, small.tolist(), big.tolist(), []):
+        samples = tally_samples(discs, grid)
+        assert samples == [(x, _count_up_to(discs, x)) for x in grid]
         assert all(type(z) is int for _, z in samples)
 
 
@@ -436,12 +443,11 @@ def test_ingest_census():
     text = "degree,group,abs_disc\n3,S3,23\n3,S3,31\n3,S3,23\n3,C3,49\n"
     tallies = ingest_census(text)
     assert sorted(tallies) == ["C3", "S3"]
-    assert tallies["S3"].entries == ((23, 2), (31, 1))
-    assert tallies["S3"].total() == 3
-    assert tallies["C3"].total() == 1
+    assert tallies["S3"].dtype == np.int64 and tallies["S3"].tolist() == [23, 23, 31]
+    assert tallies["C3"].tolist() == [49]
 
     assert ingest_census("degree,group,abs_disc\n") == {}
-    assert ingest_census("degree,group,abs_disc\n3,S3,23")["S3"].total() == 1  # no final newline
+    assert ingest_census("degree,group,abs_disc\n3,S3,23")["S3"].tolist() == [23]  # no final newline
 
 
 def test_ingest_census_errors():

@@ -14,7 +14,7 @@ import galcount
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = [
-    "CensusFormatError", "CensusRecord", "CycleParseError", "DEFAULT_CAP", "DiscriminantTally",
+    "CensusFormatError", "CensusRecord", "CycleParseError", "DEFAULT_CAP",
     "DivisorBoundReport", "DominationReport", "DominationWitness", "DualRep", "EnumerationCapError",
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
     "Verdict", "alternating_natural", "biquadratic_samples", "check_index_domination",
