@@ -51,7 +51,6 @@ _SOURCES = {
         "InsufficientSamplesError",
     ),
     "fields": (
-        "CensusRecord",
         "biquadratic_samples",
         "count_biquadratic",
         "count_cyclic_ell",
@@ -61,7 +60,6 @@ _SOURCES = {
         "fundamental_discriminants",
         "ingest_census",
         "quadratic_samples",
-        "read_census_records",
         "tally_samples",
     ),
     "fitting": ("FitResult", "Verdict", "conjecture_verdict", "fit_exponent", "geometric_grid"),

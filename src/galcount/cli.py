@@ -51,10 +51,6 @@ FAMILIES = ["quadratic", "cyclic", "biquadratic", "census"]
 TABLE_NAMES = ["deg6", "deg8"]  # the keys of tables.TABLES, which only the table command imports
 
 
-class _Intransitive(Exception):
-    pass
-
-
 def _grid_value(text: str) -> int:
     """An integer, written plainly or in scientific notation that names it exactly."""
     try:
@@ -88,7 +84,8 @@ def _resolve_group(expr: Optional[str], path: Optional[str], cap: int) -> PermGr
 def _cmd_aval(args) -> int:
     group = _resolve_group(args.expr, args.file, args.cap)
     if not group.is_transitive():
-        raise _Intransitive("group is not transitive")
+        print("error: group is not transitive", file=sys.stderr)
+        return EXIT_INTRANSITIVE
     a = group.a_invariant()
     print(f"degree: {group.degree}")
     print(f"order: {group.order()}")
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # First match wins, so the ValueError subclasses precede ValueError.
 _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
-    (_Intransitive, EXIT_INTRANSITIVE),
     (EnumerationCapError, EXIT_CAP),
     (CensusFormatError, EXIT_CENSUS),
     (InsufficientSamplesError, EXIT_SAMPLES),

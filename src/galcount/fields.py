@@ -139,9 +139,9 @@ def cyclic_tally(ell: int, xmax: int) -> np.ndarray:
 
 
 def _biquadratic_classes(xmax: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(f, m, fields) for each 2-adic class f = 1, 16, 64, 256 of the biquadratic
-    fields with |disc| = m^2 * f <= xmax: the odd squarefree m <= sqrt(xmax / f),
-    ascending, and the int64 number of fields at each.
+    """(f, m, fields) pieces for each 2-adic class f = 1, 16, 64, 256 of the biquadratic
+    fields with |disc| = m^2 * f <= xmax: the odd squarefree m <= sqrt(xmax / f) of one
+    ``_BLOCK`` of the table, ascending, and the int64 number of fields at each.
 
     Counted from ramified prime sets (D. J. Wright, Proc. London Math. Soc. 58
     (1989)), not field by field.  A biquadratic field is a 2-dimensional space V of
@@ -153,18 +153,22 @@ def _biquadratic_classes(xmax: int) -> Iterator[tuple[int, np.ndarray, np.ndarra
     chi_-4) for (3^s - 1) / 2; f = 64 (the line of chi_8 or of chi_-8) for 3^s - 1;
     and f = 256 (the whole plane) for 3^s.  So one ``squarefree_power`` table over
     the odd primes with c = 3, up to sqrt(xmax), is 3^s at every odd squarefree m and
-    0 elsewhere.  xmax above 2**63 - 1 raises ValueError before anything is sieved.
+    0 elsewhere; it is read a block at a time, so no int64 array of every m is built.
+    xmax above 2**63 - 1 raises ValueError before anything is sieved.
     """
     if xmax > 2**63 - 1:
         raise ValueError(f"biquadratic counts need |disc| <= 2**63 - 1, got {xmax}")
     xmax = max(xmax, 0)
     r = math.isqrt(xmax)
     h = squarefree_power(prime_array(r)[1:], 3, r)
-    m = np.flatnonzero(h)  # the odd squarefree m, ascending
-    t = h[m].astype(np.int64)  # 3^s
-    for f, a, b in ((1, 3, 6), (16, 1, 2), (64, 1, 1), (256, 0, 1)):  # (3^s - a) / b fields, none when s = 0
-        end = np.searchsorted(m, math.isqrt(xmax // f), side="right")
-        yield f, m[:end], np.maximum(t[:end] - a, 0) // b
+    for start in range(0, r + 1, _BLOCK):
+        block = h[start : start + _BLOCK]
+        m = np.flatnonzero(block)  # the odd squarefree m of this block, ascending, less start
+        t = block[m].astype(np.int64)  # 3^s
+        m += start
+        for f, a, b in ((1, 3, 6), (16, 1, 2), (64, 1, 1), (256, 0, 1)):  # (3^s - a) / b fields, none when s = 0
+            end = np.searchsorted(m, math.isqrt(xmax // f), side="right")
+            yield f, m[:end], np.maximum(t[:end] - a, 0) // b
 
 
 def biquadratic_discs(xmax: int) -> np.ndarray:
@@ -182,11 +186,12 @@ def count_biquadratic(x: int) -> int:
 
 def biquadratic_samples(grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, count) pairs on an ascending grid from one class table up to max(grid), no |disc| listed: each
-    class's running field count at every x, by one searchsorted of x // f among its m^2 (as m^2 * f <= x)."""
+    piece's field count at every x, by one searchsorted of x // f among its m^2 (as m^2 * f <= x), summed
+    over the pieces as they come."""
     grid = _ascending(grid)
-    classes = list(_biquadratic_classes(grid[-1]))  # refuses a top past 2**63 - 1 before anything is sieved
-    xs = np.array(grid).clip(0)  # int64 after that refusal; an x below 0 counts no field
-    counts = sum(np.cumsum(np.append(0, fields))[np.searchsorted(m * m, xs // f, side="right")] for f, m, fields in classes)
+    xs = np.array(grid).clip(0)  # an x below 0 counts no field
+    pieces = _biquadratic_classes(grid[-1])  # refuses a top past 2**63 - 1 at its first piece, before any xs // f
+    counts = sum(np.cumsum(np.append(0, fields))[np.searchsorted(m * m, xs // f, side="right")] for f, m, fields in pieces)
     return list(zip(grid, counts.tolist()))
 
 
@@ -247,48 +252,47 @@ def read_census_records(text: str) -> list[CensusRecord]:
     records with integer degree, a label without commas, and a positive
     integer absolute discriminant.
     """
-    records: list[CensusRecord] = []
-    _census_discs(text, records)
-    return records
+    return [CensusRecord(*row) for row in _census_rows(text)]
 
 
 def ingest_census(text: str) -> dict[str, np.ndarray]:
     """Read a census of fields (one per line) from a file's text and group it into
-    ascending |disc| arrays by label.
+    ascending |disc| arrays by label, in order of first appearance.
 
     Each record is one field, so a repeated (label, abs_disc) is kept.  Lines end at
-    "\\n" only, as in a file read in text mode.  Canonical lines (see
-    ``_canonical_census``) are read by one array pass over blocks of the text, and any
-    other text by the per-line reader ``_census_discs``, with identical results; the
+    "\\n" only, as in a file read in text mode.  A canonical census (see
+    ``_canonical_census``) is read by one array pass over blocks of the text, and any
+    other text by the per-line reader ``_census_rows``, with identical results; the
     per-line reader alone raises CensusFormatError.  Each array is int64, or a
     ``dtype=object`` array of exact Python ints once a |disc| passes 2**63.
     """
     grouped = _canonical_census(text)
     if grouped is None:
-        grouped = {label: np.sort(_exact_array(discs)) for label, discs in _census_discs(text).items()}
+        discs: dict[str, list[int]] = {}
+        for _, label, abs_disc in _census_rows(text):
+            discs.setdefault(label, []).append(abs_disc)
+        grouped = {label: np.sort(_exact_array(values)) for label, values in discs.items()}
     return grouped
 
 
 def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
     """Sorted int64 abs_disc arrays by group label, in order of first appearance,
     read a block of about ``_BLOCK`` characters at a time, each block cut after a
-    newline; None unless the first line is exactly CENSUS_HEADER and every later
-    line is canonical: empty, or three comma-separated fields, a degree
-    ``[1-9][0-9]*``, a label of printable ASCII (0x20-0x7E, no comma) with no space
-    at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  ``_census_discs`` reads
-    each canonical line to the same values.
+    newline; None unless the first line is exactly CENSUS_HEADER, every later line is
+    canonical (see ``_canonical_block``), and the label ids fit above the largest
+    abs_disc in one int64.  ``_census_rows`` reads each canonical line to the same values.
 
     Each block gives only its lines' values and label ids, and the lines are grouped
-    by label once, after the last block, so memory is the text, one block, and an
-    int64 value and an id for each line."""
+    by label once, after the last block, by one sort of each line's id above its
+    abs_disc, so memory is the text, one block, and an int64 value and an id for each line."""
     if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
         return None
     start = len(CENSUS_HEADER) + 1
     rows = text.count("\n", start) + 1  # at least the number of lines
     value, ident = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.min_scalar_type(rows))
-    vocabularies: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+    # the known label keys, ascending, and their ids; the 8 bytes 0xFF lie above every key
+    vocabulary = np.array([2**64 - 1], dtype=np.uint64), np.array([-1])
     names: list[str] = []  # by id
-    first_line: list[int] = []  # by id
     line = 0
     while start < len(text):
         cut = text.find("\n", start + _BLOCK) + 1 or len(text)
@@ -299,65 +303,55 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
         parsed = _canonical_block(block if block.endswith(b"\n") else block + b"\n")
         if parsed is None:
             return None
-        discs, keyed = parsed
+        discs, keys = parsed
         value[line : line + discs.size] = discs
-        for keys, lines in keyed:
-            ident[line + lines] = _label_ids(keys, line + lines, vocabularies, names, first_line)
+        ident[line : line + discs.size], vocabulary = _label_ids(keys, vocabulary, names)
         line += discs.size
         start = cut
     if not line:
         return {}
     value, ident = value[:line], ident[:line]
     shift = 63 - (len(names) - 1).bit_length()  # the bits below the ids
-    heads = np.arange(1, len(names), dtype=np.int64)  # the id that starts each tally after the first
-    if int(value.max()) >> shift == 0:
-        # each line's id above its abs_disc in one int64, so one sort in place groups the
-        # labels and orders each; shifted a block at a time, so no full-length temporary
-        for at in range(0, line, _BLOCK):
-            value[at : at + _BLOCK] |= ident[at : at + _BLOCK].astype(np.int64) << shift
-        value.sort()
-        bounds = np.searchsorted(value, heads << shift)
-        value &= (1 << shift) - 1
-    else:
-        order = np.lexsort((value, ident))
-        value, bounds = value[order], np.searchsorted(ident[order], heads)
-    tallies = np.split(value, bounds)
-    return {names[i]: tallies[i] for i in sorted(range(len(names)), key=first_line.__getitem__)}
+    if int(value.max()) >> shift:
+        return None
+    # shifted a block at a time, so no full-length temporary; one sort in place then
+    # groups the labels and orders each
+    for at in range(0, line, _BLOCK):
+        value[at : at + _BLOCK] |= ident[at : at + _BLOCK].astype(np.int64) << shift
+    value.sort()
+    bounds = np.searchsorted(value, np.arange(1, len(names), dtype=np.int64) << shift)
+    value &= (1 << shift) - 1
+    return dict(zip(names, np.split(value, bounds)))
 
 
 def _label_ids(
-    keys: np.ndarray,
-    lines: np.ndarray,
-    vocabularies: dict[np.dtype, tuple[np.ndarray, np.ndarray]],
-    names: list[str],
-    first_line: list[int],
-) -> np.ndarray:
-    """The ids of ``keys``, label keys of one dtype read at ``lines``.  ``vocabularies``
-    maps each key dtype to its known keys, ascending, and their ids; a key not yet
-    known takes the next id, and its label and line join ``names`` and ``first_line``."""
-    known, known_id = vocabularies.get(keys.dtype, (keys[:0], np.zeros(0, dtype=np.intp)))
+    keys: np.ndarray, vocabulary: tuple[np.ndarray, np.ndarray], names: list[str]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The ids of one block's label ``keys``, and ``vocabulary`` (the known keys, ascending
+    with one key above them all, and their ids) with the new keys added.  A key not yet
+    known takes the next id, in order of first appearance, and its label joins ``names``."""
+    known, known_id = vocabulary
     pos = np.searchsorted(known, keys)
-    new = known[np.minimum(pos, known.size - 1)] != keys if known.size else np.ones(keys.size, dtype=bool)
+    new = known[pos] != keys
     if new.any():
         fresh, first = np.unique(keys[new], return_index=True)
-        for key, at in zip(fresh.tolist(), lines[new][first].tolist()):
-            label = key.to_bytes(8, "big").lstrip(b"\0") if isinstance(key, int) else key
-            names.append(label.decode("ascii"))
-            first_line.append(at)
-        known = np.concatenate([known, fresh])
-        known_id = np.concatenate([known_id, np.arange(len(names) - fresh.size, len(names))])
+        fresh = fresh[np.argsort(first)]
+        names.extend(key.to_bytes(8, "big").lstrip(b"\0").decode("ascii") for key in fresh.tolist())
+        known = np.append(known, fresh)
+        known_id = np.append(known_id, np.arange(len(names) - fresh.size, len(names)))
         order = np.argsort(known)
-        known, known_id = vocabularies[keys.dtype] = known[order], known_id[order]
+        known, known_id = known[order], known_id[order]
         pos = np.searchsorted(known, keys)
-    return known_id[pos]
+    return known_id[pos], (known, known_id)
 
 
-def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
-    """The abs_disc of each nonempty line of a block of lines that each end in a
-    newline, and (label keys, line indices) for each kind of label key; None if a
-    line is not canonical.  A label of at most 8 bytes is keyed as the uint64 whose
-    big-endian bytes it is, which no two such labels share, since no label byte is
-    0; a wider one as an ``S{w}`` string, one width at a time, so no label is padded."""
+def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The abs_disc and label key of each nonempty line of a block of lines that each
+    end in a newline; None if a line is not canonical: three comma-separated fields, a
+    degree ``[1-9][0-9]*``, a label of 1 to 8 printable ASCII bytes (0x20-0x7E, no
+    comma) with no space at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  A label
+    is keyed as the uint64 whose big-endian bytes it is, which no two labels share,
+    since no label byte is 0."""
     padded = np.frombuffer(data + bytes(7), dtype=np.uint8)  # an 8-byte window from every position
     buf = padded[: len(data)]
     newline = buf == 0x0A
@@ -372,14 +366,14 @@ def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, list[tuple[np.nd
     if commas.size != 2 * ends.size or not np.all((starts <= first) & (second < ends)):
         return None
     if not ends.size:
-        return np.zeros(0, dtype=np.int64), []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
     # whether each of [start, first), [first, second + 1), [second + 1, end) is all digits;
     # an empty field reads the comma or newline at its start instead, which is no digit
     edges = np.stack([starts, first, second + 1, ends], axis=1).ravel()
     digits = np.logical_and.reduceat((buf >= 0x30) & (buf <= 0x39), edges).reshape(-1, 4)
-    width = ends - second - 1
+    width, label_width = ends - second - 1, second - first - 1
     degree_ok = digits[:, 0] & (buf[starts] != 0x30)
-    label_ok = (second > first + 1) & (buf[first + 1] != 0x20) & (buf[second - 1] != 0x20)
+    label_ok = (label_width >= 1) & (label_width <= 8) & (buf[first + 1] != 0x20) & (buf[second - 1] != 0x20)
     disc_ok = digits[:, 2] & (width <= 18) & (buf[second + 1] != 0x30)
     if not np.all(degree_ok & label_ok & disc_ok):
         return None
@@ -387,35 +381,24 @@ def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, list[tuple[np.nd
     for k in range(int(width.max())):  # digit column k from the right; below 10**18, so int64 is exact
         has = width > k
         value[has] += (buf[ends[has] - 1 - k] - 0x30).astype(np.int64) * 10**k
-    label_start, label_width = first + 1, second - first - 1
-    fits = label_width <= 8
-    narrow, wide = np.flatnonzero(fits), np.flatnonzero(~fits)
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[label_start[narrow]].view(">u8").ravel()
-    keyed = [(words >> (8 * (8 - label_width[narrow])).astype(np.uint64), narrow)]
-    if wide.size:
-        by_width = wide[np.argsort(label_width[wide], kind="stable")]
-        for lines in np.split(by_width, np.flatnonzero(np.diff(label_width[by_width])) + 1):
-            w = int(label_width[lines[0]])
-            keyed.append((buf[label_start[lines, None] + np.arange(w)].view(f"S{w}").ravel(), lines))
-    return value, keyed
+    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[first + 1].view(">u8").ravel()
+    return value, words >> (8 * (8 - label_width)).astype(np.uint64)
 
 
-def _census_discs(text: str, records: Optional[list[CensusRecord]] = None) -> dict[str, list[int]]:
-    """abs_disc values by group label, in file order, from one pass over the lines of
-    ``text``, split at "\\n": the per-line reader, which reads every census that
+def _census_rows(text: str) -> Iterator[tuple[int, str, int]]:
+    """(degree, label, abs_disc) for each record of ``text``, in file order, from one pass
+    over its lines, split at "\\n": the per-line reader, which reads every census that
     ``_canonical_census`` declines and which ``read_census_records`` uses.  It reads a
     canonical line to the same values as the array pass.
 
     Each line after the header passes these checks in order, the first failure raising
     CensusFormatError with its line number: blank (skipped), three fields,
     integer degree and abs_disc, degree >= 1, abs_disc >= 1, nonempty label.
-    Fields are ``str.strip()``-ed first.  With ``records``, each line's CensusRecord
-    is appended to it too.
+    Fields are ``str.strip()``-ed first.
     """
     lines = text.split("\n")
     if lines[0].strip() != CENSUS_HEADER:
         raise CensusFormatError(f"line 1: header must be {CENSUS_HEADER!r}")
-    grouped: dict[str, list[int]] = {}
     for number, line in enumerate(islice(lines, 1, None), start=2):
         if not line.strip():
             continue
@@ -436,10 +419,7 @@ def _census_discs(text: str, records: Optional[list[CensusRecord]] = None) -> di
         label = label.strip()
         if not label:
             raise CensusFormatError(f"line {number}: empty group label")
-        if records is not None:
-            records.append(CensusRecord(degree, label, abs_disc))
-        grouped.setdefault(label, []).append(abs_disc)
-    return grouped
+        yield degree, label, abs_disc
 
 
 def _ascending(grid: Sequence[int]) -> list[int]:

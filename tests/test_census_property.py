@@ -66,7 +66,8 @@ def census_texts(draw):
 # Canonical lines are read by the array pass, everything else by the per-line
 # reader; a canonical text with a near miss on one line exercises the decline.
 PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) != ",")
-CANONICAL_LABEL = st.text(PRINTABLE, min_size=1, max_size=12).filter(lambda s: s == s.strip(" "))  # past 8 bytes too
+# past 8 bytes too, which the per-line reader reads
+CANONICAL_LABEL = st.text(PRINTABLE, min_size=1, max_size=12).filter(lambda s: s == s.strip(" "))
 CANONICAL_LINE = st.one_of(
     st.tuples(
         st.integers(1, 12).map(str),
@@ -174,7 +175,7 @@ def test_canonical_census_never_reaches_the_per_line_reader(monkeypatch):
     def per_line(*args, **kwargs):
         raise AssertionError("a canonical census reached the per-line reader")
 
-    monkeypatch.setattr(fields, "_census_discs", per_line)
+    monkeypatch.setattr(fields, "_census_rows", per_line)
     for block in (fields._BLOCK, 64):
         monkeypatch.setattr(fields, "_BLOCK", block)
         assert outcome(ingest_census, text) == want
@@ -182,17 +183,23 @@ def test_canonical_census_never_reaches_the_per_line_reader(monkeypatch):
 
 @pytest.mark.parametrize("top", [3000, 10**18 - 1])
 def test_wide_labels_and_many_labels_group_alike(monkeypatch, top):
-    # labels past 8 bytes are keyed as strings, the rest as integers; with an abs_disc
-    # near 10**18, 20 labels leave no room for their ids above it in one int64
-    labels = [f"L{j}" * (j % 5 + 1) for j in range(20)]
-    rows = [CENSUS_HEADER] + [f"3,{labels[i * 7 % 20]},{top - i * 7919 % 2999}" for i in range(3000)]
-    text = "\n".join(rows)
-    want = outcome(ingest_census_slow, text)
-    assert max(len(label) for label, *_ in want) > 8
-    monkeypatch.setattr(fields, "_census_discs", None)  # a canonical census never reaches it
+    # a label past 8 bytes sends a census to the per-line reader, and so do 20 labels
+    # whose ids leave no room above an abs_disc near 10**18 in one int64
+    def census(labels):
+        return "\n".join([CENSUS_HEADER] + [f"3,{labels[i * 7 % 20]},{top - i * 7919 % 2999}" for i in range(3000)])
+
+    wide, short = census([f"L{j}" * (j % 5 + 1) for j in range(20)]), census([f"L{j}" for j in range(20)])
+    assert max(len(label) for label, *_ in outcome(ingest_census_slow, wide)) > 8
+    read = []
+    census_rows = fields._census_rows
+    monkeypatch.setattr(fields, "_census_rows", lambda text: read.append(text) or census_rows(text))
     for block in (fields._BLOCK, 64):
         monkeypatch.setattr(fields, "_BLOCK", block)
-        assert outcome(ingest_census, text) == want
+        for text, per_line in [(wide, True), (short, top > 2**58)]:
+            want = outcome(ingest_census_slow, text)
+            read.clear()
+            assert outcome(ingest_census, text) == want
+            assert read == ([text] if per_line else [])
 
 
 def test_canonical_census_holds_the_text_and_one_block():

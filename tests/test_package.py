@@ -14,7 +14,7 @@ import galcount
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = [
-    "CensusFormatError", "CensusRecord", "CycleParseError", "DEFAULT_CAP",
+    "CensusFormatError", "CycleParseError", "DEFAULT_CAP",
     "DivisorBoundReport", "DominationReport", "DominationWitness", "DualRep", "EnumerationCapError",
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
     "Verdict", "alternating_natural", "biquadratic_samples", "check_index_domination",
@@ -23,7 +23,7 @@ EXPORTS = [
     "direct_product", "divisor_bound_check", "divisor_counts", "dual_regular_pair",
     "fit_exponent", "fundamental_discriminants", "geometric_grid", "heisenberg_mod3", "ingest_census",
     "parse_cycles", "parse_group_expr", "parse_group_file", "parse_paired_file", "powerful_count",
-    "powerful_numbers", "quadratic_samples", "read_census_records", "regular_rep", "sl2_natural",
+    "powerful_numbers", "quadratic_samples", "regular_rep", "sl2_natural",
     "squarefree_sieve", "symmetric_natural", "tally_samples", "wreath",
 ]
 
