@@ -1,18 +1,10 @@
 #!/usr/bin/env python3
 """Exact field counts over Q by absolute discriminant: quadratic fields from
 fundamental discriminants, cyclic cubic and quintic fields from conductors,
-and biquadratic fields from discriminant triples."""
+and biquadratic fields from ramified prime sets."""
 
-from galcount import (
-    count_biquadratic,
-    count_quadratic,
-    cyclic_conductors,
-    cyclic_samples,
-    fundamental_discriminants,
-    geometric_grid,
-    quadratic_samples,
-)
-from galcount.fields import biquadratic_tally
+from galcount import count_biquadratic, count_quadratic, cyclic_samples, geometric_grid, quadratic_samples
+from galcount.fields import biquadratic_tally, cyclic_conductors, fundamental_discriminants
 
 print("Fundamental discriminants with |d| <= 30:")
 print(" ", fundamental_discriminants(30).tolist())

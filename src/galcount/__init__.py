@@ -55,9 +55,7 @@ _SOURCES = {
         "count_biquadratic",
         "count_cyclic_ell",
         "count_quadratic",
-        "cyclic_conductors",
         "cyclic_samples",
-        "fundamental_discriminants",
         "ingest_census",
         "quadratic_samples",
         "tally_samples",

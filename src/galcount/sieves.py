@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# elements per array block: squarefree_power scatter batches, quadratic dot products,
+# elements per array block: squarefree_power scatters, quadratic dot products,
 # divisor ratios, census text
 _BLOCK = 1 << 16
 
@@ -65,10 +65,10 @@ def squarefree_power(q: np.ndarray, c: int, limit: int) -> np.ndarray:
     h is multiplicative, so the table is built one q at a time: before q joins, h
     vanishes on every multiple of q (the earlier members are coprime to it), so
     h[q*m] = c * h[m] fills them all.  Each q <= sqrt(limit) is one slice.  The
-    q > sqrt(limit) go in scatters over the m <= limit // q with h[m] != 0, each batch
-    whole q's, at least one, with about ``_BLOCK`` targets q*m in all.  Such m <
-    sqrt(limit) < q, so h[m] is already final and no target is ever read, and no target
-    has two members above sqrt(limit), so no two q reach the same one.
+    q > sqrt(limit) go in after them, from each m <= limit // q_min with h[m] != 0 (q_min
+    the least such q): h[q*m] = c * h[m] at every such q <= limit // m, ``_BLOCK`` of
+    them per scatter.  Such m < sqrt(limit) < q, so h[m] is already final and no target
+    is ever read, and no target has two members above sqrt(limit), so no two writes meet.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -79,15 +79,10 @@ def squarefree_power(q: np.ndarray, c: int, limit: int) -> np.ndarray:
         h[small::small] = c * h[1 : limit // small + 1]
     big = q[split:]
     if big.size:
-        admissible = np.flatnonzero(h[: limit // big[0] + 1])
-        ends = np.cumsum(np.searchsorted(admissible, limit // big, side="right"))  # targets up to each q
-        start = done = 0
-        while start < big.size:
-            stop = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), start + 1)
-            owner, k = _expand(np.diff(ends[start:stop], prepend=done))
-            m = admissible[k - 1]
-            h[big[start:stop][owner] * m] = c * h[m]
-            start, done = stop, int(ends[stop - 1])
+        for m in np.flatnonzero(h[: limit // big[0] + 1]).tolist():
+            reach = big[: np.searchsorted(big, limit // m, side="right")]  # the big q with q*m <= limit
+            for start in range(0, reach.size, _BLOCK):
+                h[reach[start : start + _BLOCK] * m] = c * h[m]
     return h
 
 

@@ -19,9 +19,9 @@ EXPORTS = [
     "FitResult", "GroupSpecError", "InconsistentDualRep", "InsufficientSamplesError", "Perm", "PermGroup",
     "Verdict", "alternating_natural", "biquadratic_samples", "check_index_domination",
     "conjecture_verdict", "coset_action", "count_biquadratic", "count_cyclic_ell",
-    "count_quadratic", "cyclic_conductors", "cyclic_natural", "cyclic_samples", "dihedral_natural",
+    "count_quadratic", "cyclic_natural", "cyclic_samples", "dihedral_natural",
     "direct_product", "divisor_bound_check", "divisor_counts", "dual_regular_pair",
-    "fit_exponent", "fundamental_discriminants", "geometric_grid", "heisenberg_mod3", "ingest_census",
+    "fit_exponent", "geometric_grid", "heisenberg_mod3", "ingest_census",
     "parse_cycles", "parse_group_expr", "parse_group_file", "parse_paired_file", "powerful_count",
     "powerful_numbers", "quadratic_samples", "regular_rep", "sl2_natural",
     "squarefree_sieve", "symmetric_natural", "tally_samples", "wreath",

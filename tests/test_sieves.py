@@ -72,7 +72,7 @@ def test_mobius_against_factorization():
 
 @pytest.mark.parametrize("block", [1, 3, 16])
 def test_squarefree_power_against_factorization(monkeypatch, block):
-    # small batches split the scatter over the q > sqrt(limit) into many
+    # small blocks split each m's scatter over the q > sqrt(limit) into many
     monkeypatch.setattr(sieves, "_BLOCK", block)
     limit = 10_000
     spf = spf_table(limit)
@@ -91,6 +91,20 @@ def test_squarefree_power_against_factorization(monkeypatch, block):
             assert h.dtype == dtype and h.tolist() == expected[: small + 1], (c, small)
     with pytest.raises(ValueError):
         squarefree_power(primes, -1, -1)
+
+
+def test_squarefree_power_holds_no_array_per_big_member():
+    # the 10 MB int8 table and the 5 MB slice for q = 2; int64 arrays over the 664,000
+    # primes above sqrt(limit) would add over 5 MB
+    primes = prime_array(10**7)
+    tracemalloc.start()
+    try:
+        mu = squarefree_power(primes, -1, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17_000_000, peak
+    assert int(mu.sum(dtype=np.int64)) == 1037 and int(np.count_nonzero(mu)) == 6079291
 
 
 def test_is_prime_miller_rabin_range():
