@@ -4,9 +4,8 @@ and the index-domination check between two representations of one group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -179,23 +178,26 @@ def heisenberg_mod3(cap: int = DEFAULT_CAP) -> PermGroup:
     return action
 
 
-@dataclass(frozen=True)
-class DualRep:
-    """One abstract group realized in two degrees via aligned generator images."""
-
+class _DualRepFields(NamedTuple):
     gens1: tuple[Perm, ...]
     gens2: tuple[Perm, ...]
 
-    def __post_init__(self):
-        if len(self.gens1) != len(self.gens2) or not self.gens1:
-            raise InconsistentDualRep(f"generator counts {len(self.gens1)} and {len(self.gens2)} must be equal and nonzero")
-        for gens in (self.gens1, self.gens2):
+
+class DualRep(_DualRepFields):
+    """One abstract group realized in two degrees via aligned generator images."""
+
+    __slots__ = ()
+
+    def __new__(cls, gens1: tuple[Perm, ...], gens2: tuple[Perm, ...]) -> DualRep:
+        if len(gens1) != len(gens2) or not gens1:
+            raise InconsistentDualRep(f"generator counts {len(gens1)} and {len(gens2)} must be equal and nonzero")
+        for gens in (gens1, gens2):
             if len({g.degree for g in gens}) != 1:
                 raise InconsistentDualRep("generators within one representation must share a degree")
+        return super().__new__(cls, gens1, gens2)
 
 
-@dataclass(frozen=True)
-class DominationWitness:
+class DominationWitness(NamedTuple):
     word: tuple[int, ...]  # generator indices, applied left to right
     ind1: int
     ind2: int
@@ -203,8 +205,7 @@ class DominationWitness:
     a2: Fraction
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     holds: bool
     witness: Optional[DominationWitness]
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -236,8 +235,7 @@ def _at_most(discs: np.ndarray, grid: list[int]) -> np.ndarray:
 CENSUS_HEADER = "degree,group,abs_disc"
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One externally supplied field: degree, group label, |disc|."""
 
     degree: int
@@ -282,18 +280,21 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
     canonical (see ``_canonical_block``), and the label ids fit above the largest
     abs_disc in one int64.  ``_census_rows`` reads each canonical line to the same values.
 
-    Each block gives only its lines' values and label ids, and the lines are grouped
-    by label once, after the last block, by one sort of each line's id above its
-    abs_disc, so memory is the text, one block, and an int64 value and an id for each line."""
+    Each block gives only its lines' values and label keys, and each line is stored as
+    one int64, its label id above its abs_disc from bit ``shift`` (60 while there are at
+    most 8 labels, less beyond, when the lines so far are shifted down to match).  The
+    lines are grouped by label once, after the last block, by one sort of those int64s,
+    so memory is the text, one block, and 8 bytes a line: the array is sized from newlines
+    counted in a sample of the text, and grown in place if that falls short."""
     if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
         return None
     start = len(CENSUS_HEADER) + 1
-    rows = text.count("\n", start) + 1  # at least the number of lines
-    value, ident = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.min_scalar_type(rows))
+    packed = np.empty(_lines_about(text, start), dtype=np.int64)
     # the known label keys, ascending, and their ids; the 8 bytes 0xFF lie above every key
     vocabulary = np.array([2**64 - 1], dtype=np.uint64), np.array([-1])
     names: list[str] = []  # by id
-    line = 0
+    line = top = excess = 0  # lines stored, their largest abs_disc, their non-digit bytes less separators
+    shift = 60  # every canonical abs_disc is below 10**18 < 2**60
     while start < len(text):
         cut = text.find("\n", start + _BLOCK) + 1 or len(text)
         try:
@@ -303,40 +304,76 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
         parsed = _canonical_block(block if block.endswith(b"\n") else block + b"\n")
         if parsed is None:
             return None
-        discs, keys = parsed
-        value[line : line + discs.size] = discs
-        ident[line : line + discs.size], vocabulary = _label_ids(keys, vocabulary, names)
+        discs, keys, other = parsed
+        labelled = _label_ids(keys, vocabulary, names)
+        if labelled is None:
+            return None
+        ids, vocabulary = labelled
+        fit = 63 - max(len(names) - 1, 7).bit_length()
+        if fit < shift:
+            _shift_ids(packed[:line], shift, fit)
+            shift = fit
+        if line + discs.size > packed.size:  # zero-filled, in place where the allocator can
+            packed.resize(max(line + discs.size, packed.size * 5 // 4), refcheck=False)
+        ids <<= shift
+        np.bitwise_or(ids, discs.view(np.int64), out=packed[line : line + discs.size])
         line += discs.size
+        top = max(top, int(discs.max(initial=0)))
+        excess += other
         start = cut
     if not line:
         return {}
-    value, ident = value[:line], ident[:line]
-    shift = 63 - (len(names) - 1).bit_length()  # the bits below the ids
-    if int(value.max()) >> shift:
+    if top >> shift:  # checked before the sizes below are read from the ids
         return None
-    # shifted a block at a time, so no full-length temporary; one sort in place then
-    # groups the labels and orders each
-    for at in range(0, line, _BLOCK):
-        value[at : at + _BLOCK] |= ident[at : at + _BLOCK].astype(np.int64) << shift
+    value = packed[:line]
     value.sort()
     bounds = np.searchsorted(value, np.arange(1, len(names), dtype=np.int64) << shift)
+    sizes = np.diff(bounds, prepend=0, append=line).tolist()
+    # each label's non-digit bytes, once per line: the rest of every line is digits only then
+    if excess != sum(size * sum(not c.isdigit() for c in name) for size, name in zip(sizes, names)):
+        return None
     value &= (1 << shift) - 1
     return dict(zip(names, np.split(value, bounds)))
 
 
+def _lines_about(text: str, begin: int) -> int:
+    """1/16 more than the lines of ``text[begin:]``, about: the newlines counted in 16
+    windows of ``_BLOCK // 16`` characters spread over it, scaled to its length."""
+    width = max(_BLOCK // 16, 1)
+    windows = range(begin, len(text), max((len(text) - begin) // 16, width))
+    sample = sum(text.count("\n", at, at + width) for at in windows)
+    read = sum(min(width, len(text) - at) for at in windows) or 1
+    return sample * (len(text) - begin) // read * 17 // 16 + 1
+
+
+def _shift_ids(packed: np.ndarray, old: int, new: int) -> None:
+    """Move the label id of each packed line from bit ``old`` down to bit ``new``, in place,
+    a ``_BLOCK`` at a time."""
+    for at in range(0, packed.size, _BLOCK):
+        chunk = packed[at : at + _BLOCK]
+        chunk[:] = chunk >> old << new | chunk & ((1 << old) - 1)
+
+
 def _label_ids(
     keys: np.ndarray, vocabulary: tuple[np.ndarray, np.ndarray], names: list[str]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> Optional[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """The ids of one block's label ``keys``, and ``vocabulary`` (the known keys, ascending
-    with one key above them all, and their ids) with the new keys added.  A key not yet
-    known takes the next id, in order of first appearance, and its label joins ``names``."""
+    with one key above them all, and their ids) with the new keys added; None if a new
+    label is not canonical.  A key not yet known takes the next id, in order of first
+    appearance, and its label joins ``names``.  A label is checked once, when it joins:
+    printable ASCII with no space at either end (a leading NUL byte, which its key
+    drops, is caught by the census's non-digit count)."""
     known, known_id = vocabulary
     pos = np.searchsorted(known, keys)
     new = known[pos] != keys
     if new.any():
         fresh, first = np.unique(keys[new], return_index=True)
         fresh = fresh[np.argsort(first)]
-        names.extend(key.to_bytes(8, "big").lstrip(b"\0").decode("ascii") for key in fresh.tolist())
+        for key in fresh.tolist():
+            label = key.to_bytes(8, "big").lstrip(b"\0").decode("ascii")
+            if not label.isprintable() or label != label.strip(" "):
+                return None
+            names.append(label)
         known = np.append(known, fresh)
         known_id = np.append(known_id, np.arange(len(names) - fresh.size, len(names)))
         order = np.argsort(known)
@@ -345,44 +382,89 @@ def _label_ids(
     return known_id[pos], (known, known_id)
 
 
-def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The abs_disc and label key of each nonempty line of a block of lines that each
-    end in a newline; None if a line is not canonical: three comma-separated fields, a
-    degree ``[1-9][0-9]*``, a label of 1 to 8 printable ASCII bytes (0x20-0x7E, no
-    comma) with no space at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  A label
-    is keyed as the uint64 whose big-endian bytes it is, which no two labels share,
-    since no label byte is 0."""
-    padded = np.frombuffer(data + bytes(7), dtype=np.uint8)  # an 8-byte window from every position
-    buf = padded[: len(data)]
-    newline = buf == 0x0A
-    if not np.all(newline | ((buf >= 0x20) & (buf <= 0x7E))):
+_BEFORE = bytes(23) + b"\n"  # a block starts after a newline
+# the low w bytes of a word, for a label of w = 0..8 bytes
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+# row j: for an abs_disc of w = 0..18 digits, the low nibble of each of its digit bytes
+# among the 8 bytes that end 8 * j bytes before its newline, read as a little-endian word
+_DIGIT_NIBBLES = np.array(
+    [[0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - min(max(w - 8 * j, 0), 8))) for w in range(19)] for j in range(3)],
+    dtype=np.uint64,
+)
+# 8 digits in a word, first digit in the low byte, become their value in three steps: each
+# joins every pair of lanes of `bits` bits into one, low * 10**k + high, as x * (1 + 10**k
+# << bits) >> bits, and masks off the rest
+_JOIN_DIGITS = ((0x0A01, 8, 0x00FF00FF00FF00FF), (0x640001, 16, 0x0000FFFF0000FFFF), (0x271000000001, 32, 0xFFFFFFFF))
+
+
+def _canonical_block(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """The uint64 abs_disc and label key of each nonempty line of a block of lines that
+    each end in a newline, and the number of the block's bytes that are not digits, less
+    its separators; None if a line is not canonical: three comma-separated fields, a
+    degree ``[1-9][0-9]*``, a label of 1 to 8 printable ASCII bytes (0x20-0x7E, no comma)
+    with no space at either end, and an abs_disc ``[1-9][0-9]{0,17}``.  A label is keyed as
+    the uint64 whose big-endian bytes it is, which no two labels share, since no label
+    byte is 0.
+
+    The checks are split: here, the separators (two commas and a newline to each nonempty
+    line), the field widths, and no empty degree and no leading zero; in ``_label_ids``,
+    each label once; and in ``_canonical_census``, the non-digit bytes: those returned
+    here must be the labels' own, once per line, so every degree and abs_disc is digits."""
+    n = len(data)
+    padded = b"".join((_BEFORE, data, bytes(8)))  # windows read up to 24 bytes before a byte, 8 after
+    buf = np.frombuffer(padded, dtype=np.uint8, count=n, offset=24)
+    after = np.frombuffer(padded, dtype=np.uint8, offset=25)  # after[p] is the byte after buf[p]
+    sep = np.flatnonzero((buf == 0x0A) | (buf == 0x2C))
+    kinds = buf[sep]
+    if _triples(kinds):
+        newlines = sep[2::3]
+    else:  # an empty line is a newline right after a newline (the block starts after one)
+        newline = kinds == 0x0A
+        newlines = sep[newline]
+        nonempty = ~newline | (np.frombuffer(padded, dtype=np.uint8, offset=23)[sep] != 0x0A)
+        sep, kinds = sep[nonempty], kinds[nonempty]
+        if not _triples(kinds):
+            return None
+    first, second, ends = sep[0::3], sep[1::3], sep[2::3]
+    # every line begins with a degree that is neither empty nor 0-led, and no abs_disc is 0-led
+    lead = after[newlines]
+    if data[:1] in (b"0", b",") or (lead == 0x30).any() or (lead == 0x2C).any() or (after[second] == 0x30).any():
         return None
-    ends = np.flatnonzero(newline)
-    starts = np.append(0, ends[:-1] + 1)
-    starts, ends = starts[ends > starts], ends[ends > starts]  # empty lines are skipped
-    commas = np.flatnonzero(buf == 0x2C)
-    first, second = commas[0::2], commas[1::2]
-    # 2 commas a line in all, and commas 2i and 2i + 1 inside line i: exactly two on each
-    if commas.size != 2 * ends.size or not np.all((starts <= first) & (second < ends)):
-        return None
+    other = np.count_nonzero((buf - 0x30) > 9) - newlines.size - 2 * ends.size
     if not ends.size:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
-    # whether each of [start, first), [first, second + 1), [second + 1, end) is all digits;
-    # an empty field reads the comma or newline at its start instead, which is no digit
-    edges = np.stack([starts, first, second + 1, ends], axis=1).ravel()
-    digits = np.logical_and.reduceat((buf >= 0x30) & (buf <= 0x39), edges).reshape(-1, 4)
-    width, label_width = ends - second - 1, second - first - 1
-    degree_ok = digits[:, 0] & (buf[starts] != 0x30)
-    label_ok = (label_width >= 1) & (label_width <= 8) & (buf[first + 1] != 0x20) & (buf[second - 1] != 0x20)
-    disc_ok = digits[:, 2] & (width <= 18) & (buf[second + 1] != 0x30)
-    if not np.all(degree_ok & label_ok & disc_ok):
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64), other
+    width, disc_width = second - first - 1, ends - second - 1
+    if width.min() < 1 or width.max() > 8 or disc_width.min() < 1 or disc_width.max() > 18:
         return None
-    value = np.zeros(ends.size, dtype=np.int64)
-    for k in range(int(width.max())):  # digit column k from the right; below 10**18, so int64 is exact
-        has = width > k
-        value[has] += (buf[ends[has] - 1 - k] - 0x30).astype(np.int64) * 10**k
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8)[first + 1].view(">u8").ravel()
-    return value, words >> (8 * (8 - label_width)).astype(np.uint64)
+    keys = _windows(padded, 8)[second].view(">u8") & _LOW_BYTES[width]
+    # the abs_disc ends each line: one read of the 8, 16 or 24 bytes before each newline,
+    # each word's digit nibbles kept, then joined
+    words = (int(disc_width.max()) + 7) // 8
+    digits = _windows(padded, 8 * words)[ends].view("<u8").reshape(-1, words)
+    for k in range(words):
+        digits[:, k] &= _DIGIT_NIBBLES[words - 1 - k][disc_width]
+    for multiplier, bits, mask in _JOIN_DIGITS:
+        digits *= multiplier
+        digits >>= bits
+        digits &= mask
+    value = digits[:, 0]
+    for k in range(1, words):
+        value = value * 10**8 + digits[:, k]
+    return value, keys, other
+
+
+def _triples(kinds: np.ndarray) -> bool:
+    """Whether a block's separators (each a comma or a newline) are two commas and a
+    newline, again and again: every third is a newline, and no other is."""
+    newlines = np.count_nonzero(kinds == 0x0A)
+    return kinds.size == 3 * newlines and bool((kinds[2::3] == 0x0A).all())
+
+
+def _windows(padded: bytes, size: int) -> np.ndarray:
+    """Item p is the ``size`` <= 24 bytes before byte p of a block padded as in
+    ``_canonical_block``, for p up to the block's length, as one opaque item, so that a
+    fancy index reads every window it asks for in one gather."""
+    return np.ndarray(len(padded) - 31, dtype=f"V{size}", buffer=padded, offset=24 - size, strides=(1,))
 
 
 def _census_rows(text: str) -> Iterator[tuple[int, str, int]]:

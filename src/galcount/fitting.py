@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .errors import InsufficientSamplesError
 
@@ -25,8 +24,7 @@ LogPower = Union[float, int, str]  # a number, or "fit"
 MAX_GRID_POINTS = 10**6  # refused before any value is built, so a huge point count fails at once
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     a_hat: float
     c_hat: float
     b: float
@@ -37,8 +35,7 @@ class FitResult:
     loo_max_shift: float  # max |a_hat change| when one sample is left out; nan if untestable
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     predicted: Fraction
     fitted: FitResult
     within_tolerance: bool

@@ -5,11 +5,11 @@ with the divisor growth bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-# elements per array block: squarefree_power scatters, quadratic dot products,
+# elements per array block: squarefree_power writes and scatters, quadratic dot products,
 # divisor ratios, census text
 _BLOCK = 1 << 16
 
@@ -64,11 +64,14 @@ def squarefree_power(q: np.ndarray, c: int, limit: int) -> np.ndarray:
 
     h is multiplicative, so the table is built one q at a time: before q joins, h
     vanishes on every multiple of q (the earlier members are coprime to it), so
-    h[q*m] = c * h[m] fills them all.  Each q <= sqrt(limit) is one slice.  The
-    q > sqrt(limit) go in after them, from each m <= limit // q_min with h[m] != 0 (q_min
-    the least such q): h[q*m] = c * h[m] at every such q <= limit // m, ``_BLOCK`` of
-    them per scatter.  Such m < sqrt(limit) < q, so h[m] is already final and no target
-    is ever read, and no target has two members above sqrt(limit), so no two writes meet.
+    h[q*m] = c * h[m] fills them all.  Each q <= sqrt(limit) is written ``_BLOCK`` of m
+    at a time, from the largest m down: a block's targets q*m lie above every m read
+    after it, so each read is still the value before q joined, and no temporary is
+    larger than a block.  The q > sqrt(limit) go in after them, from each m <= limit //
+    q_min with h[m] != 0 (q_min the least such q): h[q*m] = c * h[m] at every such q <=
+    limit // m, ``_BLOCK`` of them per scatter.  Such m < sqrt(limit) < q, so h[m] is
+    already final and no target is ever read, and no target has two members above
+    sqrt(limit), so no two writes meet.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -76,7 +79,9 @@ def squarefree_power(q: np.ndarray, c: int, limit: int) -> np.ndarray:
     h[1:2] = 1
     split = np.searchsorted(q, math.isqrt(limit), side="right")
     for small in q[:split].tolist():
-        h[small::small] = c * h[1 : limit // small + 1]
+        for stop in range(limit // small + 1, 1, -_BLOCK):
+            start = max(stop - _BLOCK, 1)
+            h[small * start : small * stop : small] = c * h[start:stop]
     big = q[split:]
     if big.size:
         for m in np.flatnonzero(h[: limit // big[0] + 1]).tolist():
@@ -206,8 +211,7 @@ def divisor_counts(limit: int) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class DivisorBoundReport:
+class DivisorBoundReport(NamedTuple):
     max_ratio: float
     bound: float
     holds: bool

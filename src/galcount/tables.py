@@ -9,13 +9,11 @@ a cyclic subgroup of order 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     row_id: str
     name: str
     order: int

@@ -1,5 +1,6 @@
 """Property test of census ingestion against the one-record-per-line reference."""
 
+import random
 import tracemalloc
 from unittest import mock
 
@@ -95,6 +96,9 @@ NEAR_MISSES = [
     "3,S\x7f3,23",
     "3,S3\x1f,23",
     "3,S\u00e93,23",
+    "3,\x00S3,23",  # a NUL byte, which a label's key does not keep at its start
+    "3,\x00,23",
+    "3,S3\x00,23",
     "3,S3,23\r",
     "\t",
     "3,,23",
@@ -142,6 +146,16 @@ def outcome(ingest, source):
 @example(f"{CENSUS_HEADER}\n-1,S3,0\n")
 @example(f"{CENSUS_HEADER}\n3,S3,-4\n")
 @example(f"{CENSUS_HEADER}\n3,S3\n3,S3,5,6\n")
+# 18- and 1-digit abs_disc values next to each other, so that a 16-character block cuts
+# between them either way round
+@example(f"{CENSUS_HEADER}\n3,S3,{10**18 - 1}\n3,S3,7\n4,C3,{10**17 + 3}\n3,S3,1\n3,C3,{10**18 - 1}")
+@example(f"{CENSUS_HEADER}\n3,S3,7\n3,S3,{10**18 - 1}\n3,S3,1\n3,C3,{10**17}\n")
+# labels of 1 and 8 bytes, with digits or inner spaces
+@example(f"{CENSUS_HEADER}\n3,1,5\n4,C2xC2,6\n3,S 3,7\n8,12345678,9\n8,1 2 3 45,10\n6,A,11\n3,1,2\n")
+# degrees of 20 and more digits, leading zeros, empty lines, and no final newline
+@example(f"{CENSUS_HEADER}\n{10**19},S3,5\n{10**30 + 7},S3,{10**18 - 1}\n\n\n3,S3,6")
+@example(f"{CENSUS_HEADER}\n\n3,S3,5\n03,S3,5\n")
+@example(f"{CENSUS_HEADER}\n3,S3,5\n\n3,S3,05\n\n")
 def test_ingest_matches_reference(text):
     want = outcome(ingest_census_slow, text)
     assert outcome(ingest_census, text) == want
@@ -202,19 +216,39 @@ def test_wide_labels_and_many_labels_group_alike(monkeypatch, top):
             assert read == ([text] if per_line else [])
 
 
-def test_canonical_census_holds_the_text_and_one_block():
-    # traced peak on this census: 15.5 MB with 1 MiB blocks, 3.2 MB with 2**16-character
-    # blocks (mostly the 2.4 MB of int64 tallies); the bound lies halfway.  Grouping the
-    # lines once, after the last block, holds a uint32 id beside each value: 4.8 MB
-    text = canonical_census(300_000)
+def random_census(lines: int) -> str:
+    """A canonical census of four labels whose |disc| values, up to 1e9, are drawn so that
+    each label's count grows like a power of x: about 15 characters a line."""
+    rng = random.Random(5)
+    labels = (("S3", 3, 1.0), ("C3", 3, 0.5), ("D4", 4, 1.0), ("C2xC2", 4, 0.5))
+    rows = [CENSUS_HEADER]
+    for _ in range(lines):
+        label, degree, a = labels[rng.randrange(len(labels))]
+        rows.append(f"{degree},{label},{max(1, int(10**9 * rng.random() ** (1.0 / a)))}")
+    return "\n".join(rows) + "\n"
+
+
+def traced_peak(text: str) -> int:
+    """The traced memory peak of ``ingest_census(text)``, above what was held before."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         ingest_census(text)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 9_300_000
+
+
+def test_canonical_census_holds_the_text_and_one_block():
+    # traced peak: 3.3 MB, each of the 300,000 lines one int64 (with 1/16 to spare) and one
+    # 2**16-character block's arrays; a uint32 id held beside each value took 4.6 MB, and
+    # 1 MiB blocks 15.5 MB
+    assert traced_peak(canonical_census(300_000)) < 4_400_000
+
+
+def test_random_census_holds_its_lines_and_one_block():
+    # traced peak: 3.1 MB; with a uint32 id held beside each value, 4.4 MB
+    assert traced_peak(random_census(300_000)) < 4_000_000
 
 
 @pytest.mark.parametrize("bad", ["3,S3,12x"] + NEAR_MISSES)
@@ -229,3 +263,19 @@ def test_line_past_the_first_block(monkeypatch, bad):
     if bad == "3,S3,12x":
         assert want == "line 301: non-integer field"
 
+
+
+def test_edge_lines_on_either_side_of_every_block_cut(monkeypatch):
+    # every block size from 1 character up, so each line boundary is a cut once
+    lines = ["", f"{10**25},S3,{10**18 - 1}", "3,1,7", "4,12345678,1", "3,S 3,60", ""]
+    lines += [f"3,C2xC2,{10**17}", "5,1 2 3 45,9"]
+    text = "\n".join([CENSUS_HEADER] + lines + lines[1:])  # no final newline
+    want = outcome(ingest_census_slow, text)
+
+    def per_line(*args, **kwargs):
+        raise AssertionError("a canonical census reached the per-line reader")
+
+    monkeypatch.setattr(fields, "_census_rows", per_line)
+    for block in range(1, len(text) + 1):
+        monkeypatch.setattr(fields, "_BLOCK", block)
+        assert outcome(ingest_census, text) == want

@@ -94,8 +94,9 @@ def test_squarefree_power_against_factorization(monkeypatch, block):
 
 
 def test_squarefree_power_holds_no_array_per_big_member():
-    # the 10 MB int8 table and the 5 MB slice for q = 2; int64 arrays over the 664,000
-    # primes above sqrt(limit) would add over 5 MB
+    # the 10 MB int8 table and one block's scatter (traced peak 10.6 MB); a slice over the
+    # whole table for q = 2 would add 5 MB, and int64 arrays over the 664,000 primes above
+    # sqrt(limit) over 5 MB
     primes = prime_array(10**7)
     tracemalloc.start()
     try:
@@ -103,7 +104,7 @@ def test_squarefree_power_holds_no_array_per_big_member():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17_000_000, peak
+    assert peak < 12_000_000, peak
     assert int(mu.sum(dtype=np.int64)) == 1037 and int(np.count_nonzero(mu)) == 6079291
 
 
