@@ -204,12 +204,9 @@ def _read_samples(path: str) -> list[tuple[int, int]]:
 def _cmd_fit(args) -> int:
     from . import fitting
 
-    if args.samples:
-        samples = _read_samples(args.samples)
-    elif args.family:
-        samples = _family_samples(args)
-    else:
-        raise GroupSpecError("fit needs --samples or --family")
+    if (args.samples is None) == (args.family is None):
+        raise GroupSpecError("give exactly one of --samples or --family")
+    samples = _read_samples(args.samples) if args.samples is not None else _family_samples(args)
     log_power = args.log_power
     if log_power is None:
         log_power = "fit" if args.family == "biquadratic" else 0.0

@@ -84,6 +84,8 @@ def _conductor_arrays(ell: int, fmax: int) -> tuple[np.ndarray, np.ndarray]:
     if fmax < 2 * ell + 1:  # no admissible q below 2*ell + 1; this also keeps a huge ell out of int64
         none = np.zeros(0, dtype=np.int64)
         return none, none
+    if fmax >= 2**63 - 1:  # the table runs from 0 to fmax, an int64 index
+        raise ValueError(f"cyclic counts need a conductor bound below 2**63 - 1, got {fmax}")
     q = prime_array(fmax)
     q = q[q % ell == 1]
     if ell * ell <= fmax:
@@ -284,12 +286,12 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
     one int64, its label id above its abs_disc from bit ``shift`` (60 while there are at
     most 8 labels, less beyond, when the lines so far are shifted down to match).  The
     lines are grouped by label once, after the last block, by one sort of those int64s,
-    so memory is the text, one block, and 8 bytes a line: the array is sized from newlines
-    counted in a sample of the text, and grown in place if that falls short."""
+    so memory is the text, one block, and 8 bytes a line: the array has a slot for every
+    newline in the text, and one more for a last line without one."""
     if text != CENSUS_HEADER and not text.startswith(CENSUS_HEADER + "\n"):
         return None
     start = len(CENSUS_HEADER) + 1
-    packed = np.empty(_lines_about(text, start), dtype=np.int64)
+    packed = np.empty(text.count("\n", start) + 1, dtype=np.int64)
     # the known label keys, ascending, and their ids; the 8 bytes 0xFF lie above every key
     vocabulary = np.array([2**64 - 1], dtype=np.uint64), np.array([-1])
     names: list[str] = []  # by id
@@ -313,16 +315,12 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
         if fit < shift:
             _shift_ids(packed[:line], shift, fit)
             shift = fit
-        if line + discs.size > packed.size:  # zero-filled, in place where the allocator can
-            packed.resize(max(line + discs.size, packed.size * 5 // 4), refcheck=False)
         ids <<= shift
         np.bitwise_or(ids, discs.view(np.int64), out=packed[line : line + discs.size])
         line += discs.size
         top = max(top, int(discs.max(initial=0)))
         excess += other
         start = cut
-    if not line:
-        return {}
     if top >> shift:  # checked before the sizes below are read from the ids
         return None
     value = packed[:line]
@@ -334,16 +332,6 @@ def _canonical_census(text: str) -> Optional[dict[str, np.ndarray]]:
         return None
     value &= (1 << shift) - 1
     return dict(zip(names, np.split(value, bounds)))
-
-
-def _lines_about(text: str, begin: int) -> int:
-    """1/16 more than the lines of ``text[begin:]``, about: the newlines counted in 16
-    windows of ``_BLOCK // 16`` characters spread over it, scaled to its length."""
-    width = max(_BLOCK // 16, 1)
-    windows = range(begin, len(text), max((len(text) - begin) // 16, width))
-    sample = sum(text.count("\n", at, at + width) for at in windows)
-    read = sum(min(width, len(text) - at) for at in windows) or 1
-    return sample * (len(text) - begin) // read * 17 // 16 + 1
 
 
 def _shift_ids(packed: np.ndarray, old: int, new: int) -> None:

@@ -77,20 +77,23 @@ def _fit_core(xs: Sequence[float], zs: Sequence[float], log_power: LogPower) -> 
     columns = [np.ones_like(logx), logx]
     if log_power == "fit":
         columns.append(np.log(logx))
-    elif float(log_power) != 0.0:
-        target = target - float(log_power) * np.log(logx)
     design = np.column_stack(columns)
     gram = design.T @ design
     if np.linalg.matrix_rank(gram) < design.shape[1]:
         raise ValueError("collinear design: samples cannot separate the fit parameters")
     spread = np.linalg.solve(gram, design.T)  # column i is (X^T X)^-1 x_i
-    coeffs = spread @ target
-    residuals = target - design @ coeffs
     leverages = np.einsum("ij,ji->i", design, spread)
-    with np.errstate(divide="ignore", invalid="ignore"):  # h_ii = 1 only where a removal leaves too few distinct x
+    # h_ii = 1 only where a removal leaves too few distinct x; a huge fixed log power overflows, refused below
+    with np.errstate(all="ignore"):
+        if log_power != "fit" and float(log_power) != 0.0:
+            target = target - float(log_power) * np.log(logx)
+        coeffs = spread @ target
+        residuals = target - design @ coeffs
         shifts = np.abs(spread[1] * residuals / (1 - leverages))
+        rms = float(np.sqrt(np.mean(residuals**2)))
+    if not (np.isfinite(coeffs).all() and math.isfinite(rms)):
+        raise ValueError(f"log power {log_power!r} takes the fit past the float range")
     b = coeffs[2] if log_power == "fit" else float(log_power)
-    rms = float(np.sqrt(np.mean(residuals**2)))
     try:
         c_hat = math.exp(coeffs[0])
     except OverflowError:  # an intercept above about 709, as a fitted log power can give

@@ -35,6 +35,9 @@ class Perm:
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return Perm, (self.images,)
+
     @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(range(degree))

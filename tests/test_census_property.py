@@ -240,14 +240,14 @@ def traced_peak(text: str) -> int:
 
 
 def test_canonical_census_holds_the_text_and_one_block():
-    # traced peak: 3.3 MB, each of the 300,000 lines one int64 (with 1/16 to spare) and one
+    # traced peak: 3.2 MB, a slot of one int64 for each of the 300,000 newlines and one
     # 2**16-character block's arrays; a uint32 id held beside each value took 4.6 MB, and
     # 1 MiB blocks 15.5 MB
     assert traced_peak(canonical_census(300_000)) < 4_400_000
 
 
 def test_random_census_holds_its_lines_and_one_block():
-    # traced peak: 3.1 MB; with a uint32 id held beside each value, 4.4 MB
+    # traced peak: 3.0 MB; with a uint32 id held beside each value, 4.4 MB
     assert traced_peak(random_census(300_000)) < 4_000_000
 
 

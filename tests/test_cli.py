@@ -341,9 +341,16 @@ def test_grid_over_the_point_limit_exit_2(capsys):
 
 
 def test_cyclic_conductor_bound_beyond_the_float_guess_exit_2(capsys):
-    # fmax = introot(1e200, 4) = 10**50 is found exactly at once, and its table cannot be allocated
+    # fmax = introot(1e200, 4) = 10**50 is found exactly at once, and refused past int64
     code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "5", "--grid", "1000:1e200:3")
-    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: cyclic counts need a conductor bound below 2**63 - 1, got {10**50}\n")
+
+
+@pytest.mark.parametrize("top, fmax", [("1e41", 316227766016837933199), (str((2**63 - 1) ** 2), 2**63 - 1)])
+def test_cyclic_conductor_bound_past_int64_exit_2(capsys, top, fmax):
+    # refused by name before the prime table is asked for; fmax = 2**63 - 2 would reach the allocator
+    code, out, err = run_cli(capsys, "count", "cyclic", "--ell", "3", "--grid", f"1000:{top}:2")
+    assert (code, out, err) == (2, "", f"error: cyclic counts need a conductor bound below 2**63 - 1, got {fmax}\n")
 
 
 def test_census_default_grid_on_a_small_census(tmp_path, capsys):
@@ -517,6 +524,18 @@ def test_fit_refuses_a_log_power_that_is_nan(capsys):
 def test_fit_refuses_a_log_power_that_is_not_a_number(capsys):
     code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "abc")
     assert (code, out, err) == (2, "", "error: --log-power must be 'fit' or a finite number, got 'abc'\n")
+
+
+@pytest.mark.parametrize("log_power", ["1e308", "1e300", "1e200"])
+def test_fit_refuses_a_log_power_that_takes_the_fit_past_the_float_range(capsys, log_power):
+    # b log log x overflows, or the residuals' squares do: a nan or infinite fit is not printed
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", log_power)
+    assert (code, out, err) == (2, "", f"error: log power {float(log_power)!r} takes the fit past the float range\n")
+
+
+@pytest.mark.parametrize("sources", [["--samples", "/dev/null", "--family", "quadratic"], []])
+def test_fit_takes_exactly_one_sample_source(capsys, sources):
+    assert run_cli(capsys, "fit", *sources) == (2, "", "error: give exactly one of --samples or --family\n")
 
 
 @pytest.mark.parametrize("argv", [["table", "deg6"], ["aval", "C 2"], ["count", "quadratic", "--grid", "1:100:3"]])

@@ -218,3 +218,10 @@ def test_verdict_reports_tolerance_breach():
     samples = [(x, 4.0 * x**0.9) for x in xs]
     verdict = conjecture_verdict(regular_rep(cyclic_natural(2)), fit_exponent(samples, log_power=0.0), 0.05)
     assert not verdict.within_tolerance
+
+
+def test_fit_past_the_float_range_is_refused():
+    samples = [(x, int(x**0.5)) for x in (10, 100, 1000, 10**4)]
+    with pytest.raises(ValueError, match=r"^log power 1e\+300 takes the fit past the float range$"):
+        fit_exponent(samples, log_power=1e300)
+    assert math.isfinite(fit_exponent(samples, log_power=1e100).rms_residual)

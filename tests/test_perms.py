@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+from galcount.constructions import DualRep
 from galcount.perms import CycleParseError, Perm, parse_cycles
 
 
@@ -121,3 +124,11 @@ def test_order_times_power_is_identity():
         rng.shuffle(images)
         g = Perm(images)
         assert (g ** g.order()).is_identity
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_perm_and_dual_rep_copy_and_pickle(clone):
+    g = parse_cycles("(1 2 3)(4 5)", 5)
+    assert clone(g) == g and hash(clone(g)) == hash(g) and clone(g).images == g.images
+    dual = DualRep((g,), (parse_cycles("(1 2)", 2),))
+    assert clone(dual) == dual and type(clone(dual)) is DualRep
