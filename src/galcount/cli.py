@@ -241,17 +241,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare_reps(args) -> int:
     from . import constructions
-    from .groupspec import parse_paired_file
+    from .groupspec import parse_group_expr, parse_paired_file
 
     if (args.file is None) == (args.example is None):
         raise GroupSpecError("give exactly one of --file or --example")
     if args.example is not None:
         if args.example != "7.4":
             raise GroupSpecError(f"unknown built-in example {args.example!r}")
-        product = constructions.direct_product(
-            constructions.heisenberg_mod3(args.cap), constructions.cyclic_natural(2, args.cap)
-        )
-        dual = constructions.dual_regular_pair(product)
+        dual = constructions.dual_regular_pair(parse_group_expr("product(heis3(), C 2)", args.cap))
     else:
         dual = parse_paired_file(read_text(args.file, GroupSpecError))
     report = constructions.check_index_domination(dual, args.cap)
@@ -329,7 +326,15 @@ _EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(tokens) - 1, 0, -1):
+        # argparse alone reads a value after a space as an option when it starts with "-" and is not
+        # -digits or -digits.digits, such as -2.5e0 and -inf; joined by "=", it is read as a value
+        if tokens[i - 1] in ("--log-power", "--tolerance") and tokens[i].startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(tokens[i])
+                tokens[i - 1 : i + 1] = [f"{tokens[i - 1]}={tokens[i]}"]
+    args = parser.parse_args(tokens)
     if args.cap < 1:
         parser.error(f"argument --cap: must be at least 1, got {args.cap}")
     try:

@@ -6,7 +6,6 @@ a table's |disc| values the same way, as listing views that no count reads."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -107,16 +106,6 @@ def cyclic_conductors(ell: int, fmax: int) -> dict[int, int]:
     return dict(zip(conductors.tolist(), counts.tolist()))
 
 
-def _cyclic_discs(ell: int, xmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The discs f**(ell-1) <= xmax of the admissible conductors, ascending, and the number of fields
-    at each, from the conductor table over f <= xmax**(1/(ell-1)): one int64 power below 2**63, and
-    exact Python ints in a ``dtype=object`` array from there (an int64 power would wrap)."""
-    conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
-    if xmax >= 2**63:
-        conductors = conductors.astype(object)
-    return (conductors ** (ell - 1) if conductors.size else conductors), counts  # with no conductor, ell may pass int64
-
-
 def count_cyclic_ell(ell: int, x: int) -> int:
     """Number of cyclic degree-ell fields with disc = f**(ell-1) <= x (see ``cyclic_samples``)."""
     return cyclic_samples(ell, [x])[0][1]
@@ -124,15 +113,23 @@ def count_cyclic_ell(ell: int, x: int) -> int:
 
 def cyclic_samples(ell: int, grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, count) pairs on an ascending grid from one conductor table up to max(grid)**(1/(ell-1)),
-    no field listed: the running field count at every x, by one searchsorted among the discriminants."""
+    no field listed.  f**(ell-1) <= x exactly when f <= floor(x**(1/(ell-1))), so the running field
+    count at every x is one searchsorted of that bound among the int64 conductors; no disc is formed."""
     grid = _ascending(grid)
-    discs, counts = _cyclic_discs(ell, grid[-1])
-    return list(zip(grid, np.cumsum(np.append(0, counts))[_at_most(discs, grid)].tolist()))
+    bounds = [introot(max(x, 0), ell - 1) for x in grid]
+    conductors, counts = _conductor_arrays(ell, bounds[-1])
+    return list(zip(grid, np.cumsum(np.append(0, counts))[np.searchsorted(conductors, bounds, side="right")].tolist()))
 
 
 def cyclic_tally(ell: int, xmax: int) -> np.ndarray:
-    """A listing view of the table ``cyclic_samples`` counts from: each disc <= xmax, once per field."""
-    return np.repeat(*_cyclic_discs(ell, xmax))
+    """A listing view of the conductor table ``cyclic_samples`` counts from: each disc f**(ell-1) <= xmax,
+    ascending, once per field; int64 below 2**63, and exact Python ints in a ``dtype=object`` array from
+    there (an int64 power would wrap).  No count reads it."""
+    conductors, counts = _conductor_arrays(ell, introot(max(xmax, 1), ell - 1))
+    if xmax >= 2**63:
+        conductors = conductors.astype(object)
+    # with no conductor, ell - 1 may pass int64
+    return np.repeat(conductors ** (ell - 1) if conductors.size else conductors, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +212,14 @@ def _exact_array(values: Sequence[int]) -> np.ndarray:
 def tally_samples(discs: Union[np.ndarray, Sequence[int]], grid: Sequence[int]) -> list[tuple[int, int]]:
     """(x, Z(x)) pairs on an ascending grid, Z(x) the number of ``discs`` at most x: the |disc| of every
     field of one label, ascending with repeats kept, as an array or a list of ints.  A value below 1 or
-    a descending pair raises ValueError, since the count is one searchsorted."""
+    a descending pair raises ValueError, since the count is one searchsorted.  Every int64 |disc| lies in
+    1..2**63 - 1, so against int64 values each x is clamped to 0..2**63 - 1, which counts the same."""
     discs = discs if isinstance(discs, np.ndarray) else _exact_array(discs)
     if np.any(discs[:1] < 1) or np.any(discs[1:] < discs[:-1]):
         raise ValueError("abs_disc values must be positive and ascending")
     grid = _ascending(grid)
-    return list(zip(grid, _at_most(discs, grid).tolist()))
-
-
-def _at_most(discs: np.ndarray, grid: list[int]) -> np.ndarray:
-    """The number of ``discs`` (ascending) at most x, for each x of an ascending grid, from one
-    searchsorted.  Against int64 values, all in 1..2**63 - 1, an x below 0 counts none and an
-    x from 2**63 counts all, so only the x between become int64."""
-    lo, hi = 0, len(grid)
-    if discs.dtype != object:
-        lo, hi = bisect.bisect_left(grid, 0), bisect.bisect_left(grid, 2**63)
-    at = np.searchsorted(discs, np.array(grid[lo:hi], dtype=discs.dtype), side="right")
-    return np.pad(at, (lo, len(grid) - hi), constant_values=(0, discs.size))
+    xs = grid if discs.dtype == object else [min(max(x, 0), 2**63 - 1) for x in grid]
+    return list(zip(grid, np.searchsorted(discs, np.array(xs, dtype=discs.dtype), side="right").tolist()))
 
 
 CENSUS_HEADER = "degree,group,abs_disc"

@@ -516,6 +516,23 @@ def test_fit_refuses_a_negative_tolerance(capsys):
     assert (code, out) == (2, "") and "tolerance must be a finite number >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--log-power", "-2.5e0"), ("--log-power", "-1e-3"), ("--log-power", "-inf"), ("--tolerance", "-1e0")],
+)
+def test_fit_reads_a_negative_value_after_a_space_as_after_an_equals_sign(capsys, option, value):
+    # argparse alone reads a token like -2.5e0 or -inf as an option, not as the value before it
+    argv = ("fit", "--family", "quadratic", "--predict", "S 2")
+    assert run_cli(capsys, *argv, option, value) == run_cli(capsys, *argv, f"{option}={value}")
+
+
+def test_fit_with_a_negative_exponent_form_value_after_a_space(capsys):
+    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "-2.5e0")
+    assert (code, err) == (0, "") and "log_power: -2.5 (fixed)\n" in out
+    refusal = (2, "", "error: tolerance must be a finite number >= 0, got -1.0\n")
+    assert run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2", "--tolerance", "-1e0") == refusal
+
+
 def test_fit_refuses_a_log_power_that_is_nan(capsys):
     code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "nan")
     assert (code, out) == (2, "") and "log power must be 'fit' or a finite number" in err
