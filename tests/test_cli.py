@@ -517,20 +517,21 @@ def test_fit_refuses_a_negative_tolerance(capsys):
 
 
 @pytest.mark.parametrize(
-    "option, value",
-    [("--log-power", "-2.5e0"), ("--log-power", "-1e-3"), ("--log-power", "-inf"), ("--tolerance", "-1e0")],
+    "option, value, code, out_line, err",
+    [
+        ("--log-power", "-2.5e0", 0, "log_power: -2.5 (fixed)\n", ""),
+        ("--log-power", "-1e-3", 0, "log_power: -0.001 (fixed)\n", ""),
+        ("--log-power", "-inf", 2, "", "error: log power must be 'fit' or a finite number, got -inf\n"),
+        ("--tolerance", "-1e0", 2, "", "error: tolerance must be a finite number >= 0, got -1.0\n"),
+    ],
+    ids=["log-power -2.5e0", "log-power -1e-3", "log-power -inf", "tolerance -1e0"],
 )
-def test_fit_reads_a_negative_value_after_a_space_as_after_an_equals_sign(capsys, option, value):
+def test_fit_reads_a_negative_value_after_a_space_as_after_an_equals_sign(capsys, option, value, code, out_line, err):
     # argparse alone reads a token like -2.5e0 or -inf as an option, not as the value before it
     argv = ("fit", "--family", "quadratic", "--predict", "S 2")
-    assert run_cli(capsys, *argv, option, value) == run_cli(capsys, *argv, f"{option}={value}")
-
-
-def test_fit_with_a_negative_exponent_form_value_after_a_space(capsys):
-    code, out, err = run_cli(capsys, "fit", "--family", "quadratic", "--log-power", "-2.5e0")
-    assert (code, err) == (0, "") and "log_power: -2.5 (fixed)\n" in out
-    refusal = (2, "", "error: tolerance must be a finite number >= 0, got -1.0\n")
-    assert run_cli(capsys, "fit", "--family", "quadratic", "--predict", "S 2", "--tolerance", "-1e0") == refusal
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+    assert (spaced[0], spaced[2]) == (code, err) and out_line in spaced[1]
 
 
 def test_fit_refuses_a_log_power_that_is_nan(capsys):
